@@ -66,7 +66,6 @@ from .strategic_rd import (
 )
 from .noisy_channel import ChannelSpec, capacity, opta_bound, power_sweep, solve_noisy
 from .side_info import (
-    BoundHit,
     MatchReport,
     SiEquilibriumReport,
     SiRdPoint,

@@ -1,9 +1,8 @@
-"""Deterministic 1-D minimization: dense grid scan plus golden-section polish.
+"""Deterministic 1-D minimization by golden-section search.
 
-All solvers in this package that need a numerical search use the same
-two-stage recipe so results are reproducible across platforms: a fixed
-grid locates the global basin, then golden-section refines within one
-grid step of the best point.  No stochastic or quasi-Newton methods.
+Solvers that need a numerical search locate the basin on a fixed grid and
+refine it here, so results are reproducible across platforms.  No
+stochastic or quasi-Newton methods.
 """
 
 from __future__ import annotations
@@ -47,70 +46,3 @@ def golden_min(
     if yc < yd:
         return c, yc
     return d, yd
-
-
-def parabolic_polish(
-    f: Callable[[float], float],
-    x: float,
-    lo: float,
-    hi: float,
-    h: float = 1e-5,
-) -> tuple[float, float]:
-    """One quadratic-fit refinement of an already-located minimum.
-
-    Pure value comparison cannot place an argmin more precisely than
-    sqrt(machine eps / curvature), because near the basin floor the
-    objective varies quadratically while its values carry relative
-    rounding noise.  Fitting a parabola through (x-h, x, x+h) and taking
-    its vertex sidesteps that floor: the offsets f(x+-h) - f(x) are far
-    above the noise while the recovered vertex is accurate to O(h^2).
-
-    Returns (x, f(x)) unchanged when the sample straddles a bound, the
-    three points do not bend upward, or the vertex falls outside
-    [x-h, x+h]; in all those cases the quadratic fit is not trustworthy.
-    """
-    x = float(x)
-    if x - h < lo or x + h > hi:
-        return x, f(x)
-    f_lo, f_mid, f_hi = f(x - h), f(x), f(x + h)
-    curvature = f_hi - 2.0 * f_mid + f_lo
-    if not curvature > 0.0:
-        return x, f_mid
-    shift = -0.5 * h * (f_hi - f_lo) / curvature
-    if not abs(shift) <= h:
-        return x, f_mid
-    xv = x + shift
-    return xv, f(xv)
-
-
-def grid_then_golden(
-    f_scalar: Callable[[float], float],
-    lo: float,
-    hi: float,
-    points: int,
-    tol: float = 1e-10,
-    f_grid: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[float, float, bool]:
-    """Global grid scan followed by golden-section refinement.
-
-    ``f_grid``, when given, evaluates the objective on a whole array at once
-    (must agree with ``f_scalar`` pointwise).  Returns (argmin, min,
-    hit_bound) where ``hit_bound`` reports that the refined argmin lies at
-    the edge of [lo, hi].
-    """
-    xs = np.linspace(lo, hi, points)
-    if f_grid is not None:
-        ys = np.asarray(f_grid(xs), dtype=float)
-    else:
-        ys = np.array([f_scalar(x) for x in xs], dtype=float)
-    i = int(np.argmin(ys))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, points - 1)]
-    x, y = golden_min(f_scalar, a, b, tol)
-    # Keep whichever of the grid optimum and the polished point is better;
-    # protects against non-unimodal brackets.
-    if ys[i] < y:
-        x, y = float(xs[i]), float(ys[i])
-    edge = max(hi - lo, 1.0) * 1e-9
-    hit = (x - lo) <= edge or (hi - x) <= edge
-    return float(x), float(y), bool(hit)

@@ -64,6 +64,11 @@ def objective_j(model: SourcePairModel, alpha: float, sigma_t2: float = 0.0) -> 
     require_valid(model)
     if sigma_t2 < 0.0:
         raise ValueError("sigma_t2: must be nonnegative")
+    return _alignment(model, alpha, sigma_t2)
+
+
+def _alignment(model: SourcePairModel, alpha: float, sigma_t2: float = 0.0) -> float:
+    """:func:`objective_j` for a model and noise the caller has checked."""
     rho, r, s2 = model.rho, model.r, model.sigma_x2
     denom = 1.0 + r * alpha**2 + 2.0 * alpha * rho + sigma_t2 / s2
     if denom <= 1e-12:
@@ -88,17 +93,36 @@ def best_alpha(model: SourcePairModel) -> float:
     1 - (r+rho) + 2*(r+rho)^2 is used instead.
     """
     require_valid(model)
+    return _stationary_weight(model)
+
+
+def _stationary_weight(model: SourcePairModel) -> float:
+    """:func:`best_alpha` for a pair the caller has checked.
+
+    Side information conditions a validated model down to a pair that is
+    positive definite but may sit inside the pair validation tolerance.
+    """
     s = model.r + model.rho
     if abs(s) < _SERIES_CUTOFF:
         return 1.0 - s + 2.0 * s * s
     a = sqrt(1.0 + 4.0 * s)
     roots = ((-1.0 + a) / (2.0 * s), (-1.0 - a) / (2.0 * s))
-    j0, j1 = (objective_j(model, root) for root in roots)
+    j0, j1 = (_root_alignment(model, root) for root in roots)
     if j0 > j1:
         return roots[0]
     if j1 > j0:
         return roots[1]
     return min(roots, key=abs)
+
+
+def _root_alignment(model: SourcePairModel, root: float) -> float:
+    # A root at which X + root*theta has no variance sends nothing, so its
+    # alignment is the no-information value 0.  Validated pairs never get
+    # here; conditional pairs at the validation tolerance can.
+    try:
+        return _alignment(model, root)
+    except DegenerateDenominator:
+        return 0.0
 
 
 def solve_noiseless(model: SourcePairModel) -> EquilibriumReport:

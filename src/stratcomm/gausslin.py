@@ -336,7 +336,7 @@ def best_decoder(
         return float(u @ k @ v)
 
     var_y = m(sig["y"], sig["y"])
-    scale = max(model.sigma_x2, var_y, 1.0)
+    scale = max(model.sigma_x2, var_y)
     names = []
     if var_y > PSD_RTOL * scale:
         names.append("y")

@@ -1,54 +1,45 @@
 """Receiver side information: equilibria, rate limits, and exact matching.
 
 The receiver observes W jointly Gaussian with (X, theta) in addition to the
-transmitted signal.  Three structural facts drive this module, each verified
-numerically elsewhere in the package:
+transmitted signal.  Given W, the residuals of (X, theta) are independent of
+W, so the game reduces to the plain game on the conditional moments of
+(X, theta) given W (Gaussian Wyner-Ziv, with no rate loss).  Three
+structural facts follow, each verified numerically elsewhere in the
+package:
 
 * side information at the transmitter is worthless: adding any multiple of W
   to the transmitted signal leaves both equilibrium costs unchanged, because
   the receiver can subtract it exactly;
 * under a rate limit the relevant information measure is
   I(X, theta; Y) - I(Y; W), i.e. only the part of Y not predictable from W
-  costs rate; eliminating the test-channel noise through that measure makes
-  the rate enter the encoder cost only as a beta-free multiplier, so the
-  minimizing theta-weight does not move with the rate (the noise variance
-  carries all of the rate dependence);
+  costs rate; the rate then enters the encoder cost only as a beta-free
+  multiplier, so the theta-weight is the conditional game's closed-form
+  weight at every rate (the noise variance carries all of the rate
+  dependence);
 * over a noisy channel, uncoded linear transmission is exactly optimal iff
   the source-to-W geometry satisfies a single scalar matching condition,
-  found here by a bracketed root search.
-
-Encoder weights are searched on a bounded interval (default [-10, 10]) with
-a dense grid followed by golden-section refinement; hitting the bound emits
-a :class:`BoundHit` warning rather than failing.
+  found here by bisection on a closed-form residual.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._csvio import write_rows
-from ._optim import grid_then_golden, parabolic_polish
+from .equilibrium import _stationary_weight
 from .errors import InfeasibleInterval, NoRoot, ZeroRate
 from .gausslin import (
     CostPair,
     LinearScheme,
     SideInfoModel,
+    SourcePairModel,
     best_decoder,
     require_valid,
 )
 from .noisy_channel import ChannelSpec, capacity, validate_channel
-
-SEARCH_BOUND = 10.0
-_GRID_POINTS = 2001
-_REFINE_TOL = 1e-10
-
-
-class BoundHit(UserWarning):
-    """An encoder-weight search ended on the boundary of its interval."""
 
 
 @dataclass(frozen=True)
@@ -93,63 +84,42 @@ def _params(m: SideInfoModel) -> tuple[float, float, float, float, float, float]
     return (m.sigma_x2, m.rho_x_theta, m.r_theta, m.rho_x_w, m.rho_theta_w, m.r_w)
 
 
-def _test_channel_costs(m: SideInfoModel, beta, sigma_s2):
-    """Vectorized (d_e, d_d) of Y = X + beta*theta + S with decoding on (Y, W).
+def _conditional_pair(m: SideInfoModel) -> SourcePairModel:
+    """The (X, theta) model given W: (sigma_x2*v, rho_c, r_c).
 
-    Explicit 2x2 normal equations so whole search grids evaluate at once.
-    Array-shaped ``beta``/``sigma_s2`` broadcast; the final reported numbers
-    always come from the exact scalar path in :mod:`stratcomm.gausslin`.
+    v = 1 - rho_x_w^2 / r_w is Var(X | W) / sigma_x2; rho_c and r_c are the
+    conditional cross and theta moments normalized by it.
     """
     s2, rxt, rt, rxw, rtw, rw = _params(m)
-    beta = np.asarray(beta, float)
-    ss = np.asarray(sigma_s2, float)
-    b0 = 1.0 + beta**2 * rt + 2.0 * beta * rxt
-    q = rxw + beta * rtw
-    var_y = b0 + ss / s2
-    det = var_y * rw - q * q
-    p = 1.0 + beta * rxt
-    w_y = (p * rw - q * rxw) / det
-    w_w = (var_y * rxw - q * p) / det
-    d_d = s2 * (1.0 - (w_y * p + w_w * rxw))
-    p_theta = rxt + beta * rt
-    e_theta_err = s2 * (rxt - (w_y * p_theta + w_w * rtw))
-    d_e = d_d + 2.0 * e_theta_err + s2 * rt
-    return d_e, d_d
+    v = 1.0 - rxw * rxw / rw
+    return SourcePairModel(
+        sigma_x2=s2 * v,
+        rho=(rxt - rxw * rtw / rw) / v,
+        r=(rt - rtw * rtw / rw) / v,
+    )
 
 
-def _conditional_signal_ratio(m: SideInfoModel, beta) -> np.ndarray:
+def _conditional_signal_ratio(m: SideInfoModel, beta: float) -> float:
     """Var(X + beta*theta | W) / sigma_x2; strictly positive for valid models."""
-    _, rxt, rt, rxw, rtw, rw = _params(m)
-    beta = np.asarray(beta, float)
-    b0 = 1.0 + beta**2 * rt + 2.0 * beta * rxt
-    q = rxw + beta * rtw
-    return np.maximum(b0 - q * q / rw, 0.0)
+    c = _conditional_pair(m)
+    b = 1.0 + 2.0 * beta * c.rho + beta * beta * c.r
+    return max(c.sigma_x2 / m.sigma_x2 * b, 0.0)
+
+
+def _si_weight(m: SideInfoModel) -> float:
+    """Equilibrium theta-weight: the plain game's closed form given W."""
+    return float(_stationary_weight(_conditional_pair(m)))
 
 
 def solve_noiseless_si(m: SideInfoModel) -> SiEquilibriumReport:
     """Equilibrium over encoders Y = X + alpha*theta with decoding on (Y, W).
 
     Encoder noise is not injected (it is strictly harmful, as in the no-W
-    game); the scalar weight is found by grid-plus-golden search of the
-    exact encoder cost.
+    game); the weight is the plain game's closed form on the conditional
+    pair, and the decoder and costs come from covariance propagation.
     """
     require_valid(m)
-
-    def d_e_grid(alphas: np.ndarray) -> np.ndarray:
-        return _test_channel_costs(m, alphas, np.zeros_like(alphas))[0]
-
-    def d_e_scalar(alpha: float) -> float:
-        return float(_test_channel_costs(m, alpha, 0.0)[0])
-
-    alpha, _, hit = grid_then_golden(
-        d_e_scalar, -SEARCH_BOUND, SEARCH_BOUND, _GRID_POINTS, _REFINE_TOL, f_grid=d_e_grid
-    )
-    if hit:
-        warnings.warn(
-            f"encoder weight search ended at the bound +-{SEARCH_BOUND}", BoundHit
-        )
-    else:
-        alpha, _ = parabolic_polish(d_e_scalar, alpha, -SEARCH_BOUND, SEARCH_BOUND)
+    alpha = _si_weight(m)
     scheme = LinearScheme(enc_gain=1.0, enc_theta_weight=alpha)
     solved, costs = best_decoder(m, scheme, channel_noise_var=0.0)
     return SiEquilibriumReport(
@@ -197,48 +167,24 @@ def si_rate(m: SideInfoModel, beta: float, sigma_s2: float) -> float:
         raise ZeroRate("sigma_s2 must be positive (use +inf for the zero-rate point)")
     if math.isinf(sigma_s2):
         return 0.0
-    ratio = float(_conditional_signal_ratio(m, beta)) * m.sigma_x2 / sigma_s2
+    ratio = _conditional_signal_ratio(m, beta) * m.sigma_x2 / sigma_s2
     return 0.5 * math.log2(1.0 + ratio)
-
-
-def _sigma_s2_for_rate(m: SideInfoModel, beta, rate: float):
-    """Noise variance putting the test channel exactly at ``rate`` bits."""
-    t = 2.0 ** (2.0 * rate) - 1.0
-    return m.sigma_x2 * _conditional_signal_ratio(m, beta) / t
 
 
 def beta_of_rate(m: SideInfoModel, rate: float) -> tuple[float, float]:
     """Optimal (beta, sigma_s2) of the rate-limited game with side information.
 
-    For every candidate beta the test-channel noise variance is pinned by
-    the rate constraint and the exact encoder cost is minimized over beta
-    by search.  Because the pinned noise is proportional to Var(Y | W),
-    the search lands on the same weight at every rate (the zero-noise
-    weight of :func:`solve_noiseless_si`); the returned sigma_s2 is where
-    the rate actually bites.
+    The test-channel noise variance is pinned by the rate constraint, which
+    makes the rate a beta-free multiplier of the encoder's alignment term,
+    so beta is the zero-noise weight of :func:`solve_noiseless_si` at every
+    rate; the returned sigma_s2 is where the rate actually bites.
     """
     require_valid(m)
-    if rate <= 0.0:
+    if not rate > 0.0:
         raise ZeroRate(f"rate must be positive, got {rate!r}")
-
-    def d_e_grid(betas: np.ndarray) -> np.ndarray:
-        ss = _sigma_s2_for_rate(m, betas, rate)
-        return _test_channel_costs(m, betas, ss)[0]
-
-    def d_e_scalar(beta: float) -> float:
-        ss = float(_sigma_s2_for_rate(m, beta, rate))
-        return float(_test_channel_costs(m, beta, ss)[0])
-
-    beta, _, hit = grid_then_golden(
-        d_e_scalar, -SEARCH_BOUND, SEARCH_BOUND, _GRID_POINTS, _REFINE_TOL, f_grid=d_e_grid
-    )
-    if hit:
-        warnings.warn(
-            f"theta-weight search ended at the bound +-{SEARCH_BOUND}", BoundHit
-        )
-    else:
-        beta, _ = parabolic_polish(d_e_scalar, beta, -SEARCH_BOUND, SEARCH_BOUND)
-    return beta, float(_sigma_s2_for_rate(m, beta, rate))
+    beta = _si_weight(m)
+    t = 2.0 ** (2.0 * rate) - 1.0
+    return beta, float(m.sigma_x2 * _conditional_signal_ratio(m, beta) / t)
 
 
 def si_rd_point(m: SideInfoModel, rate: float) -> SiRdPoint:
@@ -249,7 +195,7 @@ def si_rd_point(m: SideInfoModel, rate: float) -> SiRdPoint:
     re-evaluated through the exact covariance path.
     """
     require_valid(m)
-    if rate < 0.0:
+    if not rate >= 0.0:
         raise ZeroRate(f"rate must be nonnegative, got {rate!r}")
     if rate == 0.0:
         _, costs = best_decoder(m, LinearScheme(enc_gain=0.0), 0.0)
@@ -270,8 +216,7 @@ def solve_noisy_si_linear(m: SideInfoModel, ch: ChannelSpec) -> tuple[LinearSche
     """
     require_valid(m)
     validate_channel(ch)
-    report = solve_noiseless_si(m)
-    alpha = report.alpha_si
+    alpha = _si_weight(m)
     b0 = 1.0 + 2.0 * alpha * m.rho_x_theta + alpha**2 * m.r_theta
     gain = math.sqrt(ch.power / (m.sigma_x2 * b0))
     encoder = LinearScheme(enc_gain=gain, enc_theta_weight=alpha)
@@ -357,14 +302,14 @@ def find_matched_rho_xw(m: SideInfoModel, ch: ChannelSpec, f_tol: float = 1e-8) 
     """Solve the matching condition for rho_x_w by bisection.
 
     Treats rho_x_w as free (the given model supplies every other entry) and
-    finds the fixed point rho = -rho_theta_w * beta(R; rho) at the
-    channel-capacity rate.  Raises :class:`NoRoot` when the residual does
-    not change sign across the feasible interval.
+    finds the fixed point rho = -rho_theta_w * beta(rho).  The weight beta
+    is the same at every rate, so the channel is validated but does not
+    move the root.  Raises :class:`NoRoot` when the residual does not
+    change sign across the feasible interval.
     """
     validate_channel(ch)
     if m.rho_theta_w == 0.0:
         return 0.0
-    rate = capacity(ch)
     lo, hi = feasible_rho_xw_interval(m)
     pad = 1e-9 * max(hi - lo, 1.0)
     lo, hi = lo + pad, hi - pad
@@ -372,9 +317,7 @@ def find_matched_rho_xw(m: SideInfoModel, ch: ChannelSpec, f_tol: float = 1e-8) 
         raise InfeasibleInterval("feasible rho_x_w interval is empty after shrinking")
 
     def residual(rho: float) -> float:
-        model = replace(m, rho_x_w=rho)
-        beta, _ = beta_of_rate(model, rate)
-        return rho + m.rho_theta_w * beta
+        return rho + m.rho_theta_w * _si_weight(replace(m, rho_x_w=rho))
 
     f_lo, f_hi = residual(lo), residual(hi)
     if f_lo == 0.0:

@@ -72,7 +72,7 @@ def rd_test_channel(model: SourcePairModel, rate: float) -> tuple[float, float]:
     information I(X, theta; Y) equals ``rate`` bits exactly.
     """
     require_valid(model)
-    if rate <= 0.0:
+    if not rate > 0.0:
         raise ZeroRate(f"rate must be positive, got {rate!r}")
     beta = best_alpha(model)
     b = _effective_var_ratio(model, beta)
@@ -97,7 +97,7 @@ def rd_point(model: SourcePairModel, rate: float) -> RdPoint:
     under best-response decoding.
     """
     require_valid(model)
-    if rate < 0.0:
+    if not rate >= 0.0:
         raise ZeroRate(f"rate must be nonnegative, got {rate!r}")
     if rate == 0.0:
         from .gausslin import no_information_costs

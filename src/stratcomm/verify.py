@@ -268,6 +268,14 @@ _SI_UNCORRELATED = SideInfoModel(
     rho_theta_w=0.0,
     r_w=1.0,
 )
+_SI_SKEWED = SideInfoModel(
+    sigma_x2=2.0,
+    rho_x_theta=-0.5,
+    r_theta=0.6,
+    rho_x_w=-0.3,
+    rho_theta_w=0.5,
+    r_w=1.5,
+)
 
 
 @_check("si_transmitter_invariance")
@@ -307,6 +315,20 @@ def _si_weight_rate_free(rng):
     high, _ = beta_of_rate(_SI_CORRELATED, 4.0)
     detail = f"beta(0.5)={low!r}, beta(4)={high!r}"
     return abs(low - high), 1e-6, "<=", detail
+
+
+@_check("si_weight_beats_grid")
+def _si_weight_beats_grid(rng):
+    # Brute force through the covariance path: no weight on a grid over
+    # [-4, 4] may undercut the closed-form weight's encoder cost.
+    worst = -math.inf
+    for model in (_SI_CORRELATED, _SI_SKEWED):
+        best = solve_noiseless_si(model).costs.d_e
+        for beta in np.linspace(-4.0, 4.0, 101):
+            scheme = LinearScheme(enc_theta_weight=float(beta))
+            _, costs = best_decoder(model, scheme, channel_noise_var=0.0)
+            worst = max(worst, (best - costs.d_e) / model.sigma_x2)
+    return worst, 1e-12, "<=", "largest gain of a grid weight over the closed form, per sigma_x2"
 
 
 _MATCH_QUICK = (

@@ -7,8 +7,7 @@ Criterion 6 is expected to fail at its final clause: the rate-limited
 disclosure weight provably cannot depend on the rate once the test-channel
 noise is eliminated through the conditional rate measure, so the demanded
 inequality has no witness.  The assertion message carries the short
-argument; the full analysis lives in the project decision log kept outside
-the package (../notes/decisions.md).
+argument; the full analysis lives in docs/derivation_notes.md §6.
 """
 
 import math
@@ -238,7 +237,7 @@ def test_criterion_06_side_information(si_correlated, si_uncorrelated):
             "test-channel noise through the conditional rate measure leaves "
             "the weight objective proportional across rates, so the search "
             "returns the same weight at every rate and this inequality has "
-            "no witness; see ../notes/decisions.md for the analysis and the "
+            "no witness; see docs/derivation_notes.md §6 for the analysis and the "
             "brute-force cross-check"
         )
 

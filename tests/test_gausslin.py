@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stratcomm.equilibrium import solve_noiseless
 from stratcomm.errors import InvalidModel, SingularObservation
 from stratcomm.gausslin import (
     LinearScheme,
@@ -16,6 +17,8 @@ from stratcomm.gausslin import (
     scheme_costs,
     validate_model,
 )
+from stratcomm.side_info import si_rd_point, solve_noiseless_si
+from stratcomm.strategic_rd import rd_point
 
 
 def test_validate_accepts_valid_pair(golden_model):
@@ -142,3 +145,24 @@ def test_no_information_costs(golden_model):
     costs = no_information_costs(golden_model)
     assert costs.d_e == pytest.approx(2.0, abs=1e-15)  # sigma^2 (1 + 2 rho + r)
     assert costs.d_d == pytest.approx(1.0, abs=1e-15)
+
+
+def _costs_per_unit_variance(sigma_x2: float) -> list[float]:
+    pair = SourcePairModel(sigma_x2, 0.0, 1.0)
+    si = SideInfoModel(sigma_x2, 0.2, 1.0, 0.4, -0.3, 1.0)
+    pairs = (
+        solve_noiseless(pair).costs,
+        rd_point(pair, 1.0).costs,
+        solve_noiseless_si(si).costs,
+        si_rd_point(si, 1.0).costs,
+    )
+    return [c / sigma_x2 for p in pairs for c in (p.d_e, p.d_d)]
+
+
+@pytest.mark.parametrize("sigma_x2", [1e-200, 1e-13, 1.0, 1e13, 1e200])
+def test_costs_scale_exactly_with_sigma_x2(sigma_x2):
+    # the degeneracy floor of best_decoder is relative to the model's scale,
+    # so no absolute term may drop Y from a tiny-variance model
+    assert _costs_per_unit_variance(sigma_x2) == pytest.approx(
+        _costs_per_unit_variance(1.0), rel=1e-12, abs=0.0
+    )

@@ -10,12 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import stratcomm.side_info as si_mod
 from stratcomm.equilibrium import best_alpha, solve_noiseless
 from stratcomm.errors import InfeasibleInterval, NoRoot, ZeroRate
-from stratcomm.gausslin import SideInfoModel, cross_moment
+from stratcomm.gausslin import LinearScheme, SideInfoModel, best_decoder, cross_moment
 from stratcomm.noisy_channel import ChannelSpec, capacity
 from stratcomm.side_info import (
-    BoundHit,
     beta_of_rate,
     feasible_rho_xw_interval,
     find_matched_rho_xw,
@@ -37,16 +37,39 @@ NO_ROOT_CHANNEL = ChannelSpec(power=0.5, noise_var=1.0)
 ORACLE_MODEL = SideInfoModel(1.0, 0.2, 1.0, 0.7, -0.5, 1.0)
 ORACLE_BETA = 0.460190
 
+# Valid, but conditioned on W it sits inside the pair validation tolerance,
+# and one stationary weight of the conditional pair leaves no signal.
+NEAR_SINGULAR_MODEL = SideInfoModel(
+    1.0, 1.9550132308569088, 3.8264468526861846,
+    -2.7814785894577922, -3.910224259364644, 541.7200298553975,
+)
+
+
+def _seeded_si_models(n: int, seed: int = 11) -> list[SideInfoModel]:
+    """Valid side-information models from random positive definite matrices."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(n):
+        a = rng.normal(size=(3, 3))
+        c = a @ a.T + 0.1 * np.eye(3)
+        c = c / c[0, 0]
+        models.append(
+            SideInfoModel(
+                float(rng.uniform(0.25, 4.0)),
+                float(c[0, 1]), float(c[1, 1]), float(c[0, 2]), float(c[1, 2]), float(c[2, 2]),
+            )
+        )
+    return models
+
 
 def test_reduces_to_plain_game_when_w_is_independent(si_uncorrelated):
     report = solve_noiseless_si(si_uncorrelated)
     plain = solve_noiseless(si_uncorrelated.pair_part())
-    assert report.alpha_si == pytest.approx(plain.alpha, abs=1e-9)
-    assert report.dec_w == pytest.approx(0.0, abs=1e-9)
-    # d_e is stationary at the optimum, d_d is not, so the searched weight's
-    # residual error shows up linearly in d_d only
+    # conditioning on an independent W is a no-op, bit for bit
+    assert report.alpha_si == plain.alpha
+    assert report.dec_w == pytest.approx(0.0, abs=1e-12)
     assert report.costs.d_e == pytest.approx(plain.costs.d_e, abs=1e-12)
-    assert report.costs.d_d == pytest.approx(plain.costs.d_d, abs=1e-9)
+    assert report.costs.d_d == pytest.approx(plain.costs.d_d, abs=1e-12)
 
 
 def test_side_information_helps_the_receiver(si_correlated):
@@ -62,8 +85,6 @@ def test_transmitting_w_changes_nothing(si_correlated):
 
 def test_decoder_weights_are_the_conditional_mean(si_correlated):
     # residual of the solved decoder is uncorrelated with both observations
-    from stratcomm.gausslin import LinearScheme, best_decoder
-
     report = solve_noiseless_si(si_correlated)
     enc = LinearScheme(enc_gain=1.0, enc_theta_weight=report.alpha_si)
     solved, _ = best_decoder(si_correlated, enc, 0.0)
@@ -92,6 +113,13 @@ def test_zero_rate_point_is_w_only_estimation(si_correlated):
         beta_of_rate(si_correlated, 0.0)
 
 
+def test_nan_rate_is_rejected(si_correlated):
+    with pytest.raises(ZeroRate):
+        beta_of_rate(si_correlated, math.nan)
+    with pytest.raises(ZeroRate):
+        si_rd_point(si_correlated, math.nan)
+
+
 def test_costs_decrease_with_rate(si_correlated):
     rates = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
     points = [si_rd_point(si_correlated, rate) for rate in rates]
@@ -113,13 +141,30 @@ def test_weight_is_rate_free_even_with_correlated_w(si_correlated):
     baseline, _ = beta_of_rate(si_correlated, 0.5)
     for rate in (0.5, 2.0, 4.0, 30.0):
         beta, _ = beta_of_rate(si_correlated, rate)
-        assert beta == pytest.approx(baseline, abs=1e-8)
-        assert beta == pytest.approx(alpha_si, abs=1e-8)
+        assert beta == baseline == alpha_si
 
 
 def test_weight_matches_independent_grid_oracle():
     beta, _ = beta_of_rate(ORACLE_MODEL, 2.0)
     assert beta == pytest.approx(ORACLE_BETA, abs=1e-4)
+
+
+def test_skipped_conditioning_misses_the_oracle(monkeypatch):
+    # the plain game on (X, theta) that ignores W is a different weight
+    monkeypatch.setattr(si_mod, "_conditional_pair", lambda m: m.pair_part())
+    beta, _ = beta_of_rate(ORACLE_MODEL, 2.0)
+    assert beta != pytest.approx(ORACLE_BETA, abs=1e-4)
+
+
+def test_weight_beats_every_grid_point():
+    # brute force through the covariance path, no closed form involved
+    for m in _seeded_si_models(10) + [NEAR_SINGULAR_MODEL]:
+        report = solve_noiseless_si(m)
+        assert abs(report.alpha_si) < 4.0
+        for beta in np.linspace(-4.0, 4.0, 201):
+            scheme = LinearScheme(enc_theta_weight=float(beta))
+            _, costs = best_decoder(m, scheme, 0.0)
+            assert costs.d_e >= report.costs.d_e - 1e-12 * m.sigma_x2
 
 
 def test_noise_variance_carries_the_rate_dependence(si_correlated):
@@ -193,19 +238,6 @@ def test_feasible_interval_can_be_empty():
     broken = SideInfoModel(1.0, 0.2, 0.5, 0.0, 0.8, 1.0)
     with pytest.raises(InfeasibleInterval):
         feasible_rho_xw_interval(broken)
-
-
-def test_bound_hit_warns():
-    tight = SideInfoModel(1.0, 0.2, 1.0, 0.4, -0.3, 1.0)
-    import stratcomm.side_info as si_mod
-
-    original = si_mod.SEARCH_BOUND
-    si_mod.SEARCH_BOUND = 0.2
-    try:
-        with pytest.warns(BoundHit):
-            solve_noiseless_si(tight)
-    finally:
-        si_mod.SEARCH_BOUND = original
 
 
 def test_si_rate_validates_noise():

@@ -80,6 +80,13 @@ def test_rate_roundtrip(golden_model):
         rd_point(golden_model, -1.0)
 
 
+def test_nan_rate_is_rejected(golden_model):
+    with pytest.raises(ZeroRate):
+        rd_test_channel(golden_model, math.nan)
+    with pytest.raises(ZeroRate):
+        rd_point(golden_model, math.nan)
+
+
 def test_rejected_limit_form_contradicts_the_floor(golden_model):
     # A tempting closed form for the receiver cost decays to 0 as the rate
     # grows; the true curve saturates at the unconstrained equilibrium value

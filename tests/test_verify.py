@@ -13,10 +13,10 @@ def test_quick_suite_passes_and_serializes():
     assert out["profile"] == "quick"
     assert out["n_failed"] == 0
     assert out["failed"] == []
-    assert out["n_checks"] == len(out["checks"]) == 25
+    assert out["n_checks"] == len(out["checks"]) == 26
     # the CLI writes this dict straight to disk, so it must round-trip
     blob = json.dumps(out)
-    assert json.loads(blob)["n_checks"] == 25
+    assert json.loads(blob)["n_checks"] == 26
 
 
 def test_full_suite_is_a_superset_of_quick():
@@ -39,11 +39,10 @@ def test_unknown_profile_rejected():
         verify.run_suite("exhaustive")
 
 
-def test_battery_catches_a_tampered_search_bound(monkeypatch):
-    # shrinking the search interval below the true weight must trip the
-    # cross-module consistency checks rather than pass silently
-    monkeypatch.setattr(side_info, "SEARCH_BOUND", 0.2)
-    with pytest.warns(side_info.BoundHit):
-        out = verify.run_suite("quick", seed=0)
+def test_battery_catches_skipped_conditioning(monkeypatch):
+    # solving the plain game on (X, theta) while ignoring W must trip the
+    # brute-force grid check rather than pass silently
+    monkeypatch.setattr(side_info, "_conditional_pair", lambda m: m.pair_part())
+    out = verify.run_suite("quick", seed=0)
     assert out["n_failed"] > 0
-    assert "si_weight_matches_plain" in out["failed"]
+    assert "si_weight_beats_grid" in out["failed"]
