@@ -36,15 +36,10 @@ from ._csvio import write_rows
 from .control_games import QuadraticObjective, classification_report, solve_objectives
 from .equilibrium import solve_noiseless
 from .errors import (
-    DegenerateDenominator,
-    InfeasibleInterval,
     InvalidDistribution,
     InvalidModel,
     NonCanonicalizable,
-    NoRoot,
     SingularObservation,
-    ToolkitError,
-    Unbounded,
     ZeroRate,
 )
 from .gausslin import (
@@ -59,11 +54,9 @@ from .noisy_channel import ChannelSpec, capacity, opta_bound, power_sweep, solve
 from .side_info import find_matched_rho_xw, match_condition, si_rd_point, solve_noiseless_si, solve_noisy_si_linear
 from .strategic_rd import nats_to_bits, rd_point, rd_sweep
 
+# ArithmeticError covers NoRoot, Unbounded and any unguarded overflow alike.
 _NUMERICAL_ERRORS = (
-    NoRoot,
-    InfeasibleInterval,
-    DegenerateDenominator,
-    Unbounded,
+    ArithmeticError,
     SingularObservation,
     ZeroRate,
     NonCanonicalizable,

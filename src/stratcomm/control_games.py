@@ -18,19 +18,24 @@ The canonicalizer is deliberately conservative: it pattern-matches the exact
 tracking form and rejects anything else.  Linear monomials and constants are
 dropped: every variable is zero mean, so they contribute nothing to either
 expectation within the model class handled here.
+
+A canonical game reduces to the disclosure game it extends: pure tracking
+is solved in closed form, and U*X / U*theta penalties leave one scan over
+the encoder direction (see :func:`solve_canonical`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
-from ._optim import golden_min
+from .equilibrium import _stationary_weight
 from .errors import CrossTermPresent, NonCanonicalizable, Unbounded
 from .gausslin import (
-    CostPair,
+    PSD_RTOL,
     LinearScheme,
     SourcePairModel,
     best_decoder,
@@ -40,7 +45,11 @@ from .gausslin import (
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
-SEARCH_BOUND_ALPHA = 10.0
+
+# Direction scan: _SCAN_POINTS angles, then _ZOOM_LEVELS re-scans over the
+# two cells around each of the _BASINS lowest local minima, each 8 times
+# finer, down to a spacing below what the objective's rounding resolves.
+_SCAN_POINTS, _BASINS, _ZOOM_POINTS, _ZOOM_LEVELS = 512, 3, 17, 9
 
 # JSON aliases: keys as they appear in objective tables elsewhere.
 _KEY_ALIASES = {
@@ -259,46 +268,75 @@ def classification_report(
     return report
 
 
-def _tracking_cost_terms(
-    model: SourcePairModel, alphas: np.ndarray, c2: np.ndarray, noise_var: float, k: float
-) -> np.ndarray:
-    """E{(X + k*theta - Xhat)^2} under best-response decoding, vectorized.
+def _direction_terms(model: SourcePairModel, cf: CanonicalForm, a, b):
+    """J_k, lambda and Var(S), per sigma_x2, of the encoder direction S = a*X + b*theta:
+    J_k is the alignment value of the model with theta scaled to k*theta,
+    lambda the U*X / U*theta penalty per unit gain.  Broadcasts over a, b."""
+    p = a + b * model.rho  # Cov(X, S) / sigma_x2
+    q = a * model.rho + b * model.r  # Cov(theta, S) / sigma_x2
+    var = a * p + b * q
+    return p * (p + 2.0 * cf.theta_weight * q) / var, cf.k2 * p + cf.k3 * q, var
 
-    ``c2`` is the squared encoder gain; the expression is even in the gain,
-    which is what lets the solver search magnitudes only.
-    """
-    s2, rho, r = model.sigma_x2, model.rho, model.r
-    b = 1.0 + 2.0 * alphas * rho + alphas**2 * r
-    var_y = c2 * s2 * b + noise_var
-    cov_xy2 = c2 * (s2 * (1.0 + alphas * rho)) ** 2
+
+def _noiseless_power(k1: float) -> float:
+    # t for an unattained noiseless infimum, or for an optimum below the
+    # decoder's floor (PSD_RTOL): k1*t^2 = 1e-7, with t^2 >= 1e-10 kept.
+    return math.sqrt(max(1e-7 / k1, 1e-10))
+
+
+def _best_power(j, mu, k1: float, n: float):
+    """Per direction, the t = sqrt(v / sigma_x2) >= 0 minimizing the cost
+    -j*t^2/(t^2 + n) + k1*t^2 - mu*t (per sigma_x2, less its constant), and
+    that minimum (``docs/derivation_notes.md`` §8)."""
+    if n == 0.0:  # the cost is -j + k1*t^2 - mu*t for every t > 0
+        value = np.minimum(-j - mu * mu / (4.0 * k1), 0.0)
+        return np.where(value < 0.0, np.maximum(mu / (2.0 * k1), _noiseless_power(k1)), 0.0), value
+    # Stationary points solve (2*k1*t - mu)(t^2 + n)^2 = 2*j*n*t.  Scaled by
+    # tau, the larger of sqrt(n) and the bound on the minimizer, it reads
+    # (s - a)(s^2 + nu)^2 = b*nu*s with a, |b|, nu <= 1 at any noise level.
+    tau = np.maximum((mu + np.sqrt(mu * mu + 4.0 * k1 * np.abs(j))) / (2.0 * k1), math.sqrt(n))
+    a, b, nu = mu / (2.0 * k1 * tau), j / (k1 * tau * tau), n / (tau * tau)
+    companion = np.zeros(a.shape + (5, 5))
+    companion[..., 1:, :-1] = np.eye(4)
+    companion[..., :, -1] = np.stack([a * nu * nu, nu * (b - nu), 2.0 * a * nu, -2.0 * nu, a], axis=-1)
+    # Candidates: every root, clipped at 0 and Newton-polished (small roots
+    # lose relative accuracy), and s = 0; any s >= 0 is feasible.
+    s = np.maximum(np.linalg.eigvals(companion).real, 0.0)
+    a, b, nu = a[..., None], b[..., None], nu[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_d = np.where(var_y > 0.0, s2 - cov_xy2 / var_y, s2)
-        kappa_c = np.where(var_y > 0.0, c2 * s2 * (1.0 + alphas * rho) / var_y, 0.0)
-    e_theta_err = s2 * rho - kappa_c * s2 * (rho + alphas * r)
-    return d_d + 2.0 * k * e_theta_err + k * k * s2 * r
+        for _ in range(2):
+            q = s * s + nu
+            step = ((s - a) * q * q - b * nu * s) / (q * q + 4.0 * s * (s - a) * q - b * nu)
+            s = np.where(np.isfinite(step), np.maximum(s - step, 0.0), s)
+    s = np.concatenate([s, np.zeros(a.shape)], axis=-1)
+    q = s * s + nu  # 0 only where s = 0 and nu underflows
+    value = s * s - 2.0 * a * s - b * np.divide(s * s, q, out=np.zeros_like(q), where=q > 0.0)
+    pick = np.argmin(value, axis=-1)[..., None]
+    s, value = np.take_along_axis(s, pick, -1)[..., 0], np.take_along_axis(value, pick, -1)[..., 0]
+    return tau * s, k1 * tau * tau * value
 
 
-def _objective_grid(
-    model: SourcePairModel,
-    cf: CanonicalForm,
-    noise_var: float,
-    alphas: np.ndarray,
-    gains: np.ndarray,
-) -> np.ndarray:
-    """Full controller objective on a (gain, alpha) magnitude grid.
+def _scan_directions(model: SourcePairModel, cf: CanonicalForm, n: float) -> tuple[float, float]:
+    """Weight alpha and power t of the best encoder direction.  The direction
+    is an angle phi, alpha = tan(phi): one scan of period pi covers every alpha."""
+    def profile(phi):
+        j, lam, var = _direction_terms(model, cf, np.cos(phi), np.sin(phi))
+        return _best_power(j, np.abs(lam) / np.sqrt(var), cf.k1, n)
 
-    The U*X and U*theta penalties are odd in the gain sign, so the grid
-    carries their magnitude with the favorable sign; see
-    :func:`solve_canonical` for the sign resolution.
-    """
-    s2, rho, r = model.sigma_x2, model.rho, model.r
-    al = alphas[None, :]
-    c = gains[:, None]
-    c2 = c * c
-    b = 1.0 + 2.0 * al * rho + al**2 * r
-    track = _tracking_cost_terms(model, al, c2, noise_var, cf.theta_weight)
-    lam = cf.k2 * s2 * (1.0 + al * rho) + cf.k3 * s2 * (rho + al * r)
-    return track + cf.k1 * c2 * s2 * b - np.abs(lam) * c
+    step = math.pi / _SCAN_POINTS
+    phi = step * np.arange(_SCAN_POINTS)
+    value = profile(phi)[1]
+    local = np.flatnonzero((value <= np.roll(value, 1)) & (value <= np.roll(value, -1)))
+    centers = phi[local[np.argsort(value[local], kind="stable")[:_BASINS]]]
+    rows = np.arange(len(centers))
+    for _ in range(_ZOOM_LEVELS):
+        grid = centers[:, None] + step * np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+        t, value = profile(grid)
+        pick = np.argmin(value, axis=1)
+        centers, t, value = grid[rows, pick], t[rows, pick], value[rows, pick]
+        step *= 2.0 / (_ZOOM_POINTS - 1)
+    best = int(np.argmin(value))
+    return math.tan(centers[best]), float(t[best])
 
 
 def solve_canonical(
@@ -306,94 +344,64 @@ def solve_canonical(
 ) -> tuple[LinearScheme, float, float]:
     """Optimal linear control for a canonical game over a Gaussian channel.
 
-    Minimizes the exact closed-form controller objective over encoders
-    U = c*(X + alpha*theta) observed through noise of variance
-    ``noise_var``, with the receiver best-responding in squared error.
-    Nested one-dimensional searches (dense grid, then golden-section on
-    both coordinates) refine the optimum to about 1e-8.  Returns the solved
-    scheme plus the achieved controller and receiver expected costs.
+    Minimizes the exact controller objective over encoders
+    U = c*(X + alpha*theta) observed through noise of variance N =
+    ``noise_var`` by a receiver best-responding in squared error, and
+    returns the solved scheme with the controller and receiver costs.
 
-    The objective is even in c except for the U*X / U*theta penalties,
-    which are odd; the search runs over magnitudes and the sign of the
-    reported gain is whichever makes the odd part favorable.
+    With v = c^2*Var(X + alpha*theta) the objective is const -
+    J_k(alpha)*v/(v + N) + k1*v - |lambda(alpha)*c|: J_k is the alignment
+    value of the model with theta scaled to k*theta, lambda the U*X /
+    U*theta penalty per unit gain (``docs/derivation_notes.md`` §8).  With
+    k2 = k3 = 0, alpha = k*best_alpha(sigma_x2, k*rho, k^2*r) (0 at k = 0)
+    and v = max(0, sqrt(J_k*N/k1) - N), zero exactly when J_k <= k1*N;
+    otherwise one scan over the encoder direction takes each direction's
+    best v from its stationarity equation.  The gain's sign makes the
+    U*X / U*theta penalty favorable.
+
+    Over a noiseless channel (N = 0) any positive gain delivers the whole
+    alignment.  When lambda(alpha*) != 0 the optimum is attained at
+    c = |lambda|/(2*k1*Var(X + alpha*theta)).  When lambda(alpha*) = 0, as
+    in every k2 = k3 = 0 game, the infimum is the unattained limit c -> 0+;
+    the gain returned sends v = 1e-7*sigma_x2/k1, within 1e-7*sigma_x2 of
+    it (v = 1e-10*sigma_x2 for k1 > 1000, above the decoder's floor).  The
+    same v replaces an optimal signal too weak for the decoder to keep.
     """
     require_valid(model)
-    if noise_var < 0.0:
-        raise ValueError("noise_var: must be nonnegative")
+    if not (math.isfinite(noise_var) and noise_var >= 0.0):
+        raise ValueError("noise_var: must be finite and nonnegative")
+    for name in ("k1", "k2", "k3", "theta_weight"):
+        if not math.isfinite(getattr(cf, name)):
+            raise ValueError(f"{name}: must be finite")
     if cf.k1 <= 0.0:
         raise Unbounded(f"U^2 penalty k1 = {cf.k1!r} is not coercive")
 
-    s2, rho, r = model.sigma_x2, model.rho, model.r
-    k = cf.theta_weight
-    alphas = np.linspace(-SEARCH_BOUND_ALPHA, SEARCH_BOUND_ALPHA, 2001)
-
-    # Coercivity bound: at the optimum, k1*c^2*s2*b - |lam|*c cannot exceed
-    # the value at c = 0, so the optimal magnitude is bounded by the larger
-    # quadratic root, uniformly over alpha.
-    b = 1.0 + 2.0 * alphas * rho + alphas**2 * r
-    lam = np.abs(cf.k2 * s2 * (1.0 + alphas * rho) + cf.k3 * s2 * (rho + alphas * r))
-    at_zero = float(np.max(_tracking_cost_terms(model, alphas, np.zeros_like(alphas), noise_var, k)))
-    quad = cf.k1 * s2 * b
-    c_max = float(np.max((lam + np.sqrt(lam * lam + 4.0 * quad * at_zero)) / (2.0 * quad)))
-    c_max = 1.1 * c_max + 1e-6
-
-    gains = np.linspace(0.0, c_max, 201)
-    grid = _objective_grid(model, cf, noise_var, alphas, gains)
-    flat = int(np.argmin(grid))
-    gi, ai = np.unravel_index(flat, grid.shape)
-
-    def inner(alpha: float) -> tuple[float, float]:
-        def f(c: float) -> float:
-            return float(
-                _objective_grid(model, cf, noise_var, np.array([alpha]), np.array([c]))[0, 0]
-            )
-
-        cs = np.linspace(0.0, c_max, 65)
-        vals = _objective_grid(model, cf, noise_var, np.array([alpha]), cs)[:, 0]
-        j = int(np.argmin(vals))
-        lo = cs[max(j - 1, 0)]
-        hi = cs[min(j + 1, len(cs) - 1)]
-        c_best, v_best = golden_min(f, lo, hi, tol=1e-10)
-        if vals[j] < v_best:
-            c_best, v_best = float(cs[j]), float(vals[j])
-        return c_best, v_best
-
-    def outer(alpha: float) -> float:
-        return inner(alpha)[1]
-
-    a_lo = alphas[max(ai - 1, 0)]
-    a_hi = alphas[min(ai + 1, len(alphas) - 1)]
-    alpha_best, _ = golden_min(outer, a_lo, a_hi, tol=1e-9)
-    if outer(alpha_best) > grid[gi, ai]:
-        alpha_best = float(alphas[ai])
-    c_best, _ = inner(alpha_best)
-
-    lam_best = cf.k2 * s2 * (1.0 + alpha_best * rho) + cf.k3 * s2 * (rho + alpha_best * r)
-    sign = -1.0 if lam_best > 0.0 else 1.0
-    scheme = LinearScheme(enc_gain=sign * c_best, enc_theta_weight=alpha_best)
+    s2, rho, r, k, n = model.sigma_x2, model.rho, model.r, cf.theta_weight, noise_var / model.sigma_x2
+    if cf.k2 == 0.0 and cf.k3 == 0.0:
+        alpha = 0.0 if k == 0.0 else k * _stationary_weight(SourcePairModel(s2, k * rho, k * k * r))
+        j = _direction_terms(model, cf, 1.0, alpha)[0]  # positive at the best weight
+        if n > 0.0:  # v = sqrt(j*n/k1) - n, written so that it cannot overflow
+            t = math.sqrt(max(0.0, math.sqrt(n) * (math.sqrt(j / cf.k1) - math.sqrt(n))))
+        else:
+            t = _noiseless_power(cf.k1)
+    else:
+        alpha, t = _scan_directions(model, cf, n)
+    if t > 0.0 and t * t + n <= PSD_RTOL:  # a signal the decoder would drop
+        t = _noiseless_power(cf.k1)
+    _, lam, var = _direction_terms(model, cf, 1.0, alpha)
+    sign = -1.0 if lam > 0.0 else 1.0
+    scheme = LinearScheme(enc_gain=sign * t / math.sqrt(var), enc_theta_weight=alpha)
     solved, _ = best_decoder(model, scheme, channel_noise_var=noise_var)
 
-    track = cross_moment(
-        model,
-        solved,
-        noise_var,
-        {"x": 1.0, "theta": k, "xhat": -1.0},
-        {"x": 1.0, "theta": k, "xhat": -1.0},
-    )
+    moment = partial(cross_moment, model, solved, noise_var)
+    err_e = {"x": 1.0, "theta": k, "xhat": -1.0}
+    err_d = {"x": 1.0, "xhat": -1.0}
+    u = {"u": 1.0}
     j_e = (
-        track
-        + cf.k1 * cross_moment(model, solved, noise_var, {"u": 1.0}, {"u": 1.0})
-        + cf.k2 * cross_moment(model, solved, noise_var, {"u": 1.0}, {"x": 1.0})
-        + cf.k3 * cross_moment(model, solved, noise_var, {"u": 1.0}, {"theta": 1.0})
+        moment(err_e, err_e) + cf.k1 * moment(u, u)
+        + cf.k2 * moment(u, {"x": 1.0}) + cf.k3 * moment(u, {"theta": 1.0})
     )
-    j_d = cross_moment(
-        model,
-        solved,
-        noise_var,
-        {"x": 1.0, "xhat": -1.0},
-        {"x": 1.0, "xhat": -1.0},
-    )
-    return solved, float(j_e), float(j_d)
+    return solved, float(j_e), float(moment(err_d, err_d))
 
 
 def solve_objectives(

@@ -52,4 +52,4 @@ class CrossTermPresent(NonCanonicalizable):
 
 
 class Unbounded(ToolkitError, ArithmeticError):
-    """The control objective has no finite minimum (non-coercive penalty)."""
+    """The control objective has no finite minimum: the U^2 penalty k1 <= 0."""

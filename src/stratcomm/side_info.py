@@ -40,6 +40,7 @@ from .gausslin import (
     require_valid,
 )
 from .noisy_channel import ChannelSpec, capacity, validate_channel
+from .strategic_rd import _noise_per_signal
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,7 @@ def beta_of_rate(m: SideInfoModel, rate: float) -> tuple[float, float]:
     if not rate > 0.0:
         raise ZeroRate(f"rate must be positive, got {rate!r}")
     beta = _si_weight(m)
-    t = 2.0 ** (2.0 * rate) - 1.0
-    return beta, float(m.sigma_x2 * _conditional_signal_ratio(m, beta) / t)
+    return beta, float(m.sigma_x2 * _conditional_signal_ratio(m, beta) * _noise_per_signal(rate))
 
 
 def si_rd_point(m: SideInfoModel, rate: float) -> SiRdPoint:

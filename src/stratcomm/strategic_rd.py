@@ -65,6 +65,19 @@ def _effective_var_ratio(model: SourcePairModel, beta: float) -> float:
     return 1.0 + beta**2 * model.r + 2.0 * beta * model.rho
 
 
+def _noise_per_signal(rate: float) -> float:
+    """1 / (2^(2R) - 1), the test-channel noise per unit signal variance.
+
+    As 2^(-2R) / -expm1(-2R ln 2) it neither overflows at high rates nor
+    cancels at tiny ones; below about 4e-309 bits it leaves the float range.
+    """
+    x = -2.0 * rate * _LN2
+    ratio = math.exp(x) / -math.expm1(x)
+    if math.isinf(ratio):
+        raise OverflowError(f"rate {rate!r} is too small for a finite test-channel noise")
+    return ratio
+
+
 def rd_test_channel(model: SourcePairModel, rate: float) -> tuple[float, float]:
     """Optimal test channel (beta, sigma_s2) at a strictly positive rate.
 
@@ -76,7 +89,7 @@ def rd_test_channel(model: SourcePairModel, rate: float) -> tuple[float, float]:
         raise ZeroRate(f"rate must be positive, got {rate!r}")
     beta = best_alpha(model)
     b = _effective_var_ratio(model, beta)
-    sigma_s2 = model.sigma_x2 * b / (2.0 ** (2.0 * rate) - 1.0)
+    sigma_s2 = model.sigma_x2 * b * _noise_per_signal(rate)
     return beta, sigma_s2
 
 

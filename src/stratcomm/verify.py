@@ -8,15 +8,16 @@ sampled ones (well under thirty seconds); ``full`` adds million-sample
 Monte Carlo agreement, the scalar codec experiment, and a wider
 matched-correlation sweep.
 
-Sampled checks draw their scenarios from ``default_rng([seed, index])``,
-one stream per check, so a run is reproducible from a single seed and no
-check's draws depend on another's.
+Sampled checks draw from ``default_rng([seed, crc32(name)])``, one stream
+per check keyed by its name, so a run is reproducible from a single seed
+and no check's draws depend on another's or on its place in the battery.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import zlib
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Callable
@@ -439,6 +440,38 @@ def _control_weight_noise_free(rng):
     return worst, 1e-5, "<=", "pure actuation penalty keeps the bias weight"
 
 
+def _control_objective(model, cf, noise_var, alpha, gain):
+    # Controller cost of U = gain*(X + alpha*theta) from the covariances of
+    # (X, theta, U, Y) under the best linear receiver, broadcast over arrays.
+    s2, rho, r, k = model.sigma_x2, model.rho, model.r, cf.theta_weight
+    cov_xu, cov_tu = gain * s2 * (1.0 + alpha * rho), gain * s2 * (rho + alpha * r)
+    var_u = gain * (cov_xu + alpha * cov_tu)
+    var_y = var_u + noise_var
+    kappa = np.divide(cov_xu, var_y, out=np.zeros_like(var_y), where=var_y > 0.0)
+    track = s2 * (1.0 + 2.0 * k * rho + k * k * r) - 2.0 * kappa * (cov_xu + k * cov_tu) + kappa**2 * var_y
+    return track + cf.k1 * var_u + cf.k2 * cov_xu + cf.k3 * cov_tu
+
+
+@_check("control_beats_grid")
+def _control_beats_grid(rng):
+    # Brute force over (alpha, gain), wide and around the solver's point, on
+    # two games without the closed form: no grid point may undercut it.
+    worst = -math.inf
+    for model, cf, noise in (
+        (SourcePairModel(1.0, 0.2, 1.3), CanonicalForm(k1=0.15, k2=0.2, k3=-0.1, theta_weight=0.8), 0.7),
+        (SourcePairModel(2.0, -0.5, 0.6), CanonicalForm(k1=0.3, k2=-0.4, k3=0.5, theta_weight=-1.2), 0.4),
+    ):
+        scheme, j_e, _ = solve_canonical(model, cf, noise)
+        a, c = scheme.enc_theta_weight, scheme.enc_gain
+        for alphas, gains in (
+            (np.linspace(-4.0, 4.0, 161), (2.0 * abs(c) + 1.0) * np.linspace(-1.0, 1.0, 161)),
+            (a + np.linspace(-0.05, 0.05, 101), c * np.linspace(0.95, 1.05, 101)),
+        ):
+            grid = _control_objective(model, cf, noise, alphas[:, None], gains[None, :])
+            worst = max(worst, (j_e - float(grid.min())) / model.sigma_x2)
+    return worst, 1e-12, "<=", "largest gain of a grid point over the solver, per sigma_x2"
+
+
 # ---------------------------------------------------------------------------
 # Quantizer and sampling oracles
 
@@ -623,10 +656,10 @@ def run_suite(profile: str = "quick", seed: int = DEFAULT_SEED) -> dict:
         raise ValueError("profile: expected 'quick' or 'full'")
     started = time.perf_counter()
     results: list[CheckResult] = []
-    for index, (name, check_profile, fn) in enumerate(_CHECKS):
+    for name, check_profile, fn in _CHECKS:
         if check_profile == "full" and profile != "full":
             continue
-        rng = np.random.default_rng([seed, index])
+        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
         t0 = time.perf_counter()
         measured, tolerance, comparator, detail = fn(rng)
         seconds = time.perf_counter() - t0

@@ -6,6 +6,9 @@ import math
 import pytest
 
 from stratcomm import cli
+from stratcomm.equilibrium import solve_noiseless
+from stratcomm.gausslin import SideInfoModel, SourcePairModel
+from stratcomm.side_info import solve_noiseless_si
 
 GOLDEN = {"schema": 1, "kind": "noiseless", "model": {"rho": 0.0, "r": 1.0}}
 
@@ -154,6 +157,45 @@ def test_no_root_exit_two(write_scenario, capsys):
     assert "NoRoot" in err
 
 
+_SI_MODEL = {"rho_x_theta": 0.2, "r_theta": 1.0, "rho_x_w": 0.4, "rho_theta_w": -0.3, "r_w": 1.0}
+
+
+@pytest.mark.parametrize(
+    "kind, model, tiny_rate_code",
+    [("rd", {"rho": 0.2, "r": 1.3}, 0), ("si_rd", _SI_MODEL, 2)],
+)
+def test_extreme_rates_exit_cleanly(write_scenario, capsys, kind, model, tiny_rate_code):
+    if kind == "rd":
+        noiseless = solve_noiseless(SourcePairModel(sigma_x2=1.0, **model)).costs
+    else:
+        noiseless = solve_noiseless_si(SideInfoModel(sigma_x2=1.0, **model)).costs
+
+    def solve(rate):
+        payload = {"schema": 1, "kind": kind, "model": model, "rate": rate}
+        code = _run(["solve", "--scenario", write_scenario(payload)])
+        out, err = capsys.readouterr()
+        return code, json.loads(out) if code == 0 else err
+
+    # 600 bits: the test-channel noise underflows to 0, the noiseless point
+    code, high = solve(600.0)
+    assert code == 0
+    assert high["sigma_s2"] == 0.0
+    assert high["d_e"] == pytest.approx(noiseless.d_e, rel=1e-12)
+    assert high["d_d"] == pytest.approx(noiseless.d_d, rel=1e-12)
+    # 1e-300 bits: a pair model reports the no-information point; with side
+    # information the (Y, W) observation block is numerically singular
+    code, low = solve(1e-300)
+    assert code == tiny_rate_code
+    if code == 0:
+        assert low["d_d"] == pytest.approx(1.0, rel=1e-12)
+    else:
+        assert "SingularObservation" in low
+    # below about 4e-309 bits the noise variance itself would overflow
+    code, err = solve(1e-320)
+    assert code == 2
+    assert "OverflowError" in err
+
+
 def test_kind_gate_on_subcommands(write_scenario, capsys):
     code = _run(["si-match", "--scenario", write_scenario(GOLDEN)])
     err = capsys.readouterr().err
@@ -222,6 +264,20 @@ def test_control_check_solves_canonical(write_scenario, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["classification"]["linear_solution_claimed"] is True
     assert report["solution"]["theta_weight"] == pytest.approx(0.6180339887, abs=1e-6)
+    # no channel means a noiseless one: any positive gain sends the whole
+    # alignment, so the cost sits just above the infimum (3 - sqrt 5)/2
+    assert report["noise_var"] == 0.0
+    assert report["solution"]["gain"] > 0.0
+    assert report["solution"]["dec_y_weight"] != 0.0
+    assert 0.0 < report["solution"]["controller_cost"] - (3.0 - math.sqrt(5.0)) / 2.0 <= 1e-6
+
+
+def test_control_check_rejects_an_overflowing_penalty(write_scenario, capsys):
+    # U^2 / Xhat^2 = 1e300 / 1e-300 overflows the normalized penalty k1
+    payload = _control_payload()
+    payload["objectives"]["encoder"] = {"x2": 1e-300, "xhat2": 1e-300, "x_xhat": -2e-300, "u2": 1e300}
+    assert _run(["control-check", "--scenario", write_scenario(payload)]) == 1
+    assert "k1: must be finite" in capsys.readouterr().err
 
 
 def test_control_check_classifies_without_solving(write_scenario, capsys):

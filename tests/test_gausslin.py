@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stratcomm.control_games import CanonicalForm, solve_canonical
 from stratcomm.equilibrium import solve_noiseless
 from stratcomm.errors import InvalidModel, SingularObservation
 from stratcomm.gausslin import (
@@ -147,7 +148,7 @@ def test_no_information_costs(golden_model):
     assert costs.d_d == pytest.approx(1.0, abs=1e-15)
 
 
-def _costs_per_unit_variance(sigma_x2: float) -> list[float]:
+def _scale_free_results(sigma_x2: float) -> list[float]:
     pair = SourcePairModel(sigma_x2, 0.0, 1.0)
     si = SideInfoModel(sigma_x2, 0.2, 1.0, 0.4, -0.3, 1.0)
     pairs = (
@@ -156,13 +157,18 @@ def _costs_per_unit_variance(sigma_x2: float) -> list[float]:
         solve_noiseless_si(si).costs,
         si_rd_point(si, 1.0).costs,
     )
-    return [c / sigma_x2 for p in pairs for c in (p.d_e, p.d_d)]
+    # the channel noise scales along; the factor 0.5 keeps noise_var /
+    # sigma_x2 exact, so the direction scan sees one game at every scale
+    cf = CanonicalForm(k1=0.15, k2=0.2, k3=-0.1, theta_weight=0.8)
+    control, j_e, j_d = solve_canonical(SourcePairModel(sigma_x2, 0.2, 1.3), cf, 0.5 * sigma_x2)
+    costs = [c / sigma_x2 for p in pairs for c in (p.d_e, p.d_d)]
+    return costs + [j_e / sigma_x2, j_d / sigma_x2, control.enc_theta_weight, control.enc_gain]
 
 
 @pytest.mark.parametrize("sigma_x2", [1e-200, 1e-13, 1.0, 1e13, 1e200])
 def test_costs_scale_exactly_with_sigma_x2(sigma_x2):
     # the degeneracy floor of best_decoder is relative to the model's scale,
     # so no absolute term may drop Y from a tiny-variance model
-    assert _costs_per_unit_variance(sigma_x2) == pytest.approx(
-        _costs_per_unit_variance(1.0), rel=1e-12, abs=0.0
+    assert _scale_free_results(sigma_x2) == pytest.approx(
+        _scale_free_results(1.0), rel=1e-12, abs=0.0
     )

@@ -1,6 +1,7 @@
 """Self-check battery: suite contract, determinism, tamper detection."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -13,10 +14,10 @@ def test_quick_suite_passes_and_serializes():
     assert out["profile"] == "quick"
     assert out["n_failed"] == 0
     assert out["failed"] == []
-    assert out["n_checks"] == len(out["checks"]) == 26
+    assert out["n_checks"] == len(out["checks"]) == 27
     # the CLI writes this dict straight to disk, so it must round-trip
     blob = json.dumps(out)
-    assert json.loads(blob)["n_checks"] == 26
+    assert json.loads(blob)["n_checks"] == 27
 
 
 def test_full_suite_is_a_superset_of_quick():
@@ -46,3 +47,30 @@ def test_battery_catches_skipped_conditioning(monkeypatch):
     out = verify.run_suite("quick", seed=0)
     assert out["n_failed"] > 0
     assert "si_weight_beats_grid" in out["failed"]
+
+
+def test_battery_catches_a_control_weight_off_the_optimum(monkeypatch):
+    # a control solution whose weight sits 0.02 from the optimum must be
+    # undercut by the brute-force grid
+    real = verify.solve_canonical
+
+    def nudged(model, cf, noise_var):
+        scheme, _, _ = real(model, cf, noise_var)
+        moved = replace(scheme, enc_theta_weight=scheme.enc_theta_weight + 0.02)
+        solved, _ = verify.best_decoder(model, moved, channel_noise_var=noise_var)
+        j_e = verify._control_objective(model, cf, noise_var, solved.enc_theta_weight, solved.enc_gain)
+        return solved, float(j_e), 0.0
+
+    monkeypatch.setattr(verify, "solve_canonical", nudged)
+    out = verify.run_suite("quick", seed=0)
+    assert "control_beats_grid" in out["failed"]
+
+
+def test_checks_are_seeded_by_name_not_position(monkeypatch):
+    # inserting a check in front must not re-seed the sampled checks
+    before = {c["name"]: c["measured"] for c in verify.run_suite("quick", seed=0)["checks"]}
+    extra = ("inserted_first", "quick", lambda rng: (float(rng.random()), 1.0, "<=", ""))
+    monkeypatch.setattr(verify, "_CHECKS", [extra, *verify._CHECKS])
+    after = {c["name"]: c["measured"] for c in verify.run_suite("quick", seed=0)["checks"]}
+    del after["inserted_first"]
+    assert after == before
