@@ -34,7 +34,7 @@ import numpy as np
 from . import simkit, verify
 from ._csvio import write_rows
 from .control_games import QuadraticObjective, classification_report, solve_objectives
-from .equilibrium import solve_noiseless
+from .equilibrium import _linear_costs, _stationary_weight, solve_noiseless
 from .errors import (
     InvalidDistribution,
     InvalidModel,
@@ -479,13 +479,12 @@ def panel_rows(
             grid = np.linspace(lo if lo is not None else -0.9, hi if hi is not None else 0.9, points or 181)
             models = [SourcePairModel(sigma_x2=1.0, rho=float(v), r=1.0) for v in grid]
             header = ("rho", "d_e", "d_d", "valid")
-        rows: list[tuple] = []
-        for value, m in zip(grid, models):
-            if validate_model(m).ok:
-                costs = solve_noiseless(m).costs
-                rows.append((float(value), costs.d_e, costs.d_d, 1))
-            else:
-                rows.append((float(value), math.nan, math.nan, 0))
+        valid = np.array([validate_model(m).ok for m in models], dtype=bool)
+        rho, r = np.array([(m.rho, m.r) for m in models])[valid].T
+        d_e, d_d = np.full((2, grid.size), math.nan)
+        # sigma_x2 = 1, so the kernel's costs per unit sigma_x2 are the costs
+        _, d_e[valid], d_d[valid] = _linear_costs(rho, r, _stationary_weight(rho, r), 1.0, 0.0, 0.0)
+        rows = [(float(v), float(e), float(d), int(ok)) for v, e, d, ok in zip(grid, d_e, d_d, valid)]
         return header, rows
 
     if panel == "fig3c":

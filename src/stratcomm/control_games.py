@@ -378,7 +378,7 @@ def solve_canonical(
 
     s2, rho, r, k, n = model.sigma_x2, model.rho, model.r, cf.theta_weight, noise_var / model.sigma_x2
     if cf.k2 == 0.0 and cf.k3 == 0.0:
-        alpha = 0.0 if k == 0.0 else k * _stationary_weight(SourcePairModel(s2, k * rho, k * k * r))
+        alpha = 0.0 if k == 0.0 else k * float(_stationary_weight(k * rho, k * k * r))
         j = _direction_terms(model, cf, 1.0, alpha)[0]  # positive at the best weight
         if n > 0.0:  # v = sqrt(j*n/k1) - n, written so that it cannot overflow
             t = math.sqrt(max(0.0, math.sqrt(n) * (math.sqrt(j / cf.k1) - math.sqrt(n))))

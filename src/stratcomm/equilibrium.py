@@ -16,14 +16,10 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DegenerateDenominator
-from .gausslin import (
-    CostPair,
-    LinearScheme,
-    SourcePairModel,
-    best_decoder,
-    require_valid,
-)
+from .gausslin import PSD_RTOL, CostPair, SourcePairModel, _require_finite, require_valid
 
 # Below this |r + rho| the closed-form root is evaluated by series to avoid
 # 0/0 cancellation.
@@ -62,20 +58,36 @@ def objective_j(model: SourcePairModel, alpha: float, sigma_t2: float = 0.0) -> 
     scheme is optimal.
     """
     require_valid(model)
+    _require_finite(alpha=alpha, sigma_t2=sigma_t2)
     if sigma_t2 < 0.0:
         raise ValueError("sigma_t2: must be nonnegative")
-    return _alignment(model, alpha, sigma_t2)
+    rho, r = model.rho, model.r
+    kappa, _, _ = _linear_costs(rho, r, alpha, 1.0, sigma_t2 / model.sigma_x2, 0.0)
+    # kappa * Cov(X + 2*theta, X + alpha*theta), in product form
+    return float(model.sigma_x2 * kappa * (1.0 + 2.0 * rho + alpha * (rho + 2.0 * r)))
 
 
-def _alignment(model: SourcePairModel, alpha: float, sigma_t2: float = 0.0) -> float:
-    """:func:`objective_j` for a model and noise the caller has checked."""
-    rho, r, s2 = model.rho, model.r, model.sigma_x2
-    denom = 1.0 + r * alpha**2 + 2.0 * alpha * rho + sigma_t2 / s2
-    if denom <= 1e-12:
-        raise DegenerateDenominator(
-            f"objective denominator {denom:.3g} is not positive at alpha={alpha!r}"
-        )
-    return s2 * (1.0 + alpha * rho) * (1.0 + 2.0 * alpha * r + alpha * rho + 2.0 * rho) / denom
+def _signal_ratio(rho, r, alpha):
+    """Var(X + alpha*theta) / sigma_x2, elementwise."""
+    return 1.0 + alpha * (2.0 * rho + alpha * r)
+
+
+def _linear_costs(rho, r, alpha, gain2, t, n):
+    """(kappa, d_e, d_d) of Y = c*(X + alpha*theta) + T + N under the best decoder.
+
+    Arguments broadcast and, like the costs, are per unit sigma_x2: gain2 =
+    c^2, t and n the variances of T and N.  kappa is c times the weight on
+    Y.  As in the oracle decoder, Y is dropped when Var(Y) <= PSD_RTOL *
+    max(sigma_x2, Var(Y)), so t = inf gives the no-information costs and
+    gain2 = 0 the prior point.
+    """
+    cov_xs = 1.0 + alpha * rho  # Cov(X, X + alpha*theta) / sigma_x2
+    cov_ts = rho + alpha * r  # Cov(theta, X + alpha*theta) / sigma_x2
+    var_y = gain2 * _signal_ratio(rho, r, alpha) + t + n
+    keep = var_y > PSD_RTOL * np.maximum(1.0, var_y)
+    kappa = np.where(keep, gain2 * cov_xs / np.where(keep, var_y, 1.0), 0.0)
+    d_d = 1.0 - kappa * cov_xs
+    return kappa, d_d + 2.0 * (rho - kappa * cov_ts) + r, d_d
 
 
 def a_aux(model: SourcePairModel) -> float:
@@ -93,52 +105,42 @@ def best_alpha(model: SourcePairModel) -> float:
     1 - (r+rho) + 2*(r+rho)^2 is used instead.
     """
     require_valid(model)
-    return _stationary_weight(model)
+    return float(_stationary_weight(model.rho, model.r))
 
 
-def _stationary_weight(model: SourcePairModel) -> float:
-    """:func:`best_alpha` for a pair the caller has checked.
+def _stationary_weight(rho, r):
+    """:func:`best_alpha` for pairs the caller has checked, elementwise.
 
     Side information conditions a validated model down to a pair that is
-    positive definite but may sit inside the pair validation tolerance.
+    positive definite but may sit inside the pair validation tolerance.  A
+    root at which X + root*theta has no variance sends nothing, so the
+    kernel scores it at the no-information cost.
     """
-    s = model.r + model.rho
-    if abs(s) < _SERIES_CUTOFF:
-        return 1.0 - s + 2.0 * s * s
-    a = sqrt(1.0 + 4.0 * s)
-    roots = ((-1.0 + a) / (2.0 * s), (-1.0 - a) / (2.0 * s))
-    j0, j1 = (_root_alignment(model, root) for root in roots)
-    if j0 > j1:
-        return roots[0]
-    if j1 > j0:
-        return roots[1]
-    return min(roots, key=abs)
-
-
-def _root_alignment(model: SourcePairModel, root: float) -> float:
-    # A root at which X + root*theta has no variance sends nothing, so its
-    # alignment is the no-information value 0.  Validated pairs never get
-    # here; conditional pairs at the validation tolerance can.
-    try:
-        return _alignment(model, root)
-    except DegenerateDenominator:
-        return 0.0
+    s = np.asarray(r + rho, float)
+    series = np.abs(s) < _SERIES_CUTOFF
+    s_root = np.where(series, 1.0, s)
+    a = np.sqrt(1.0 + 4.0 * s_root)
+    roots = np.stack([(-1.0 + a) / (2.0 * s_root), (-1.0 - a) / (2.0 * s_root)])
+    e0, e1 = _linear_costs(rho, r, roots, 1.0, 0.0, 0.0)[1]
+    tie = np.where(np.abs(roots[0]) <= np.abs(roots[1]), roots[0], roots[1])
+    pick = np.where(e0 < e1, roots[0], np.where(e1 < e0, roots[1], tie))
+    return np.where(series, 1.0 - s + 2.0 * s * s, pick)
 
 
 def solve_noiseless(model: SourcePairModel) -> EquilibriumReport:
     """Full noiseless equilibrium: weights plus exact costs.
 
-    Costs come from covariance propagation of the solved scheme, not from
-    algebraic shortcut formulas; see :func:`analytic_costs` for the
-    shortcut used as an independent regression check.
+    Costs come from the closed-form best response of :func:`_linear_costs`;
+    see :func:`analytic_costs` for the shortcut used as an independent
+    regression check.
     """
     alpha = best_alpha(model)
-    encoder = LinearScheme(enc_gain=1.0, enc_theta_weight=alpha)
-    solved, costs = best_decoder(model, encoder, channel_noise_var=0.0)
+    kappa, d_e, d_d = _linear_costs(model.rho, model.r, alpha, 1.0, 0.0, 0.0)
+    s2 = model.sigma_x2
     return EquilibriumReport(
         alpha=alpha,
-        kappa=solved.dec_y_weight,
-        costs=costs,
+        kappa=float(kappa),
+        costs=CostPair(d_e=float(s2 * d_e), d_d=float(s2 * d_d)),
         a_aux=a_aux(model),
     )
 
@@ -146,7 +148,7 @@ def solve_noiseless(model: SourcePairModel) -> EquilibriumReport:
 def analytic_costs(model: SourcePairModel) -> CostPair:
     """Closed-form shortcut for the equilibrium costs.
 
-    Derived independently of the covariance path, so the two routes
+    Derived independently of the cost kernel, so the two routes
     cross-check each other.  Degenerates when r + rho approaches 0 or the
     d_d denominator vanishes; callers should stay away from those
     boundaries (the solver itself does not use this function).

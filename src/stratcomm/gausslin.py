@@ -5,9 +5,10 @@ normalized covariance of the source pair (X, theta), optionally extended by
 receiver side information W; a ``LinearScheme`` describes one encoder/decoder
 pair; and the functions evaluate estimation weights and quadratic costs
 exactly by covariance propagation.  No sampling and no iterative solvers
-enter this module: matrices are at most 4x4 and are eliminated explicitly,
-so results are deterministic to the last bit and serve as the reference
-implementation the rest of the package is checked against.
+enter this module: observation blocks are at most 4x4, scaled to unit
+diagonal and solved directly, so results are deterministic to the last bit.
+It is the independent route that the solvers' closed-form costs
+(``equilibrium._linear_costs``) are checked against.
 
 Conventions
 -----------
@@ -25,6 +26,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, Union
 
@@ -168,30 +170,11 @@ def require_valid(model: Model) -> None:
         raise InvalidModel("; ".join(report.violations))
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Solve a x = b by Gaussian elimination with partial pivoting.
-
-    Sized for the <= 4x4 systems this package produces.  A pivot smaller
-    than ``tol`` means the observation block is numerically singular.
-    """
-    n = a.shape[0]
-    aug = np.hstack([a.astype(float).copy(), b.reshape(n, 1).astype(float)])
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[pivot_row, col]) <= tol:
-            raise SingularObservation(
-                f"observation covariance is singular at pivot {col} "
-                f"(|pivot| = {abs(aug[pivot_row, col]):.3g} <= {tol:.3g})"
-            )
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        for row in range(col + 1, n):
-            factor = aug[row, col] / aug[col, col]
-            aug[row, col:] -= factor * aug[col, col:]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (aug[row, n] - aug[row, row + 1 : n] @ x[row + 1 :]) / aug[row, row]
-    return x
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: must be finite")
 
 
 def mmse_linear(
@@ -218,8 +201,9 @@ def mmse_linear(
     Raises
     ------
     SingularObservation
-        If the observed block has an eigenvalue below ``PSD_RTOL`` times
-        its trace.
+        If the observed block, scaled to unit diagonal, has an eigenvalue
+        below ``PSD_RTOL`` times its dimension.  The test is scale-free, so
+        observations of very different variances are not singular.
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
@@ -230,13 +214,17 @@ def mmse_linear(
         return np.zeros(0), max(0.0, float(cov[target, target]))
     block = cov[np.ix_(observed, observed)]
     cross = cov[list(observed), target]
-    tol = PSD_RTOL * max(float(np.trace(block)), np.finfo(float).tiny)
-    eigs = np.linalg.eigvalsh((block + block.T) / 2.0)
+    scale = np.sqrt(np.diag(block))
+    if not np.all(scale > 0.0):
+        raise SingularObservation("observation covariance has a variance that is not positive")
+    unit = block / np.outer(scale, scale)
+    tol = PSD_RTOL * len(observed)
+    eigs = np.linalg.eigvalsh((unit + unit.T) / 2.0)
     if eigs.min() <= tol:
         raise SingularObservation(
-            f"observation covariance has eigenvalue {eigs.min():.3g} <= {tol:.3g}"
+            f"observation covariance scaled to unit diagonal has eigenvalue {eigs.min():.3g} <= {tol:.3g}"
         )
-    weights = _eliminate(block, cross, tol)
+    weights = np.linalg.solve(unit, cross / scale) / scale
     err_var = float(cov[target, target] - weights @ cross)
     return weights, max(0.0, err_var)
 
@@ -246,6 +234,11 @@ _NBASE = 5
 
 
 def _moment_matrix(model: Model, scheme: LinearScheme, channel_noise_var: float) -> np.ndarray:
+    _require_finite(channel_noise_var=channel_noise_var, **vars(scheme))
+    if scheme.enc_noise_var < 0.0:
+        raise ValueError("enc_noise_var: must be nonnegative")
+    if channel_noise_var < 0.0:
+        raise ValueError("channel_noise_var: must be nonnegative")
     k = np.zeros((_NBASE, _NBASE))
     cov = model.covariance()
     d = cov.shape[0]
@@ -303,10 +296,6 @@ def scheme_costs(
     weights are used as given (they need not be a best response).
     """
     require_valid(model)
-    if scheme.enc_noise_var < 0.0:
-        raise ValueError("enc_noise_var: must be nonnegative")
-    if channel_noise_var < 0.0:
-        raise ValueError("channel_noise_var: must be nonnegative")
     k = _moment_matrix(model, scheme, channel_noise_var)
     sig = _signal_vectors(scheme)
     err_d = sig["x"] - sig["xhat"]

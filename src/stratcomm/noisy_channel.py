@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .equilibrium import best_alpha
-from .gausslin import CostPair, LinearScheme, SourcePairModel, best_decoder, require_valid
+import numpy as np
+
+from .equilibrium import _linear_costs, _signal_ratio, best_alpha
+from .gausslin import CostPair, LinearScheme, SourcePairModel
 from .strategic_rd import rd_point
 
 
@@ -44,17 +46,22 @@ def solve_noisy(model: SourcePairModel, ch: ChannelSpec) -> tuple[LinearScheme, 
 
     The theta-weight is channel-independent (identical to the noiseless
     equilibrium); only the gain depends on the budget, saturating it:
-    E{U^2} = power exactly.  Costs are exact covariance propagation with
-    the best-response decoder.
+    E{U^2} = power exactly.  Costs are the closed-form best response.
     """
-    require_valid(model)
-    validate_channel(ch)
     alpha = best_alpha(model)
-    b = 1.0 + 2.0 * alpha * model.rho + alpha**2 * model.r
-    gain = math.sqrt(ch.power / (model.sigma_x2 * b))
-    encoder = LinearScheme(enc_gain=gain, enc_theta_weight=alpha)
-    solved, costs = best_decoder(model, encoder, channel_noise_var=ch.noise_var)
-    return solved, costs
+    validate_channel(ch)
+    gain2, kappa, d_e, d_d = _budget_costs(model, alpha, ch.power, ch.noise_var)
+    gain = math.sqrt(gain2)
+    s2 = model.sigma_x2
+    scheme = LinearScheme(enc_gain=gain, enc_theta_weight=alpha, dec_y_weight=float(kappa) / gain)
+    return scheme, CostPair(d_e=float(s2 * d_e), d_d=float(s2 * d_d))
+
+
+def _budget_costs(model: SourcePairModel, alpha: float, power, noise_var: float):
+    """(c^2, kappa, d_e, d_d) per unit sigma_x2 of c*(X + alpha*theta) at E{U^2} = power."""
+    rho, r, s2 = model.rho, model.r, model.sigma_x2
+    gain2 = power / (s2 * _signal_ratio(rho, r, alpha))
+    return (gain2, *_linear_costs(rho, r, alpha, gain2, 0.0, noise_var / s2))
 
 
 def opta_bound(model: SourcePairModel, ch: ChannelSpec) -> float:
@@ -80,17 +87,12 @@ def power_sweep(
     model: SourcePairModel, p_over_n_values, noise_var: float = 1.0
 ) -> list[PowerSweepRow]:
     """Evaluate the noisy equilibrium across transmit-power budgets."""
-    rows = []
-    for ratio in p_over_n_values:
-        ch = ChannelSpec(power=float(ratio) * noise_var, noise_var=noise_var)
-        scheme, costs = solve_noisy(model, ch)
-        rows.append(
-            PowerSweepRow(
-                p_over_n=float(ratio),
-                capacity_bits=capacity(ch),
-                d_e=costs.d_e,
-                d_d=costs.d_d,
-                gain=scheme.enc_gain,
-            )
-        )
-    return rows
+    alpha = best_alpha(model)
+    ratios = np.asarray(p_over_n_values, float)
+    bits = [capacity(ChannelSpec(power=float(ratio) * noise_var, noise_var=noise_var)) for ratio in ratios]
+    gain2, _, d_e, d_d = _budget_costs(model, alpha, ratios * noise_var, noise_var)
+    s2 = model.sigma_x2
+    return [
+        PowerSweepRow(float(ratio), c, float(e), float(d), math.sqrt(g2))
+        for ratio, c, e, d, g2 in zip(ratios, bits, s2 * d_e, s2 * d_d, gain2)
+    ]

@@ -29,13 +29,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._csvio import write_rows
-from .equilibrium import _stationary_weight
+from .equilibrium import _linear_costs, _signal_ratio, _stationary_weight
 from .errors import InfeasibleInterval, NoRoot, ZeroRate
 from .gausslin import (
     CostPair,
     LinearScheme,
     SideInfoModel,
     SourcePairModel,
+    _require_finite,
     best_decoder,
     require_valid,
 )
@@ -103,32 +104,41 @@ def _conditional_pair(m: SideInfoModel) -> SourcePairModel:
 def _conditional_signal_ratio(m: SideInfoModel, beta: float) -> float:
     """Var(X + beta*theta | W) / sigma_x2; strictly positive for valid models."""
     c = _conditional_pair(m)
-    b = 1.0 + 2.0 * beta * c.rho + beta * beta * c.r
-    return max(c.sigma_x2 / m.sigma_x2 * b, 0.0)
+    return max(c.sigma_x2 / m.sigma_x2 * _signal_ratio(c.rho, c.r, beta), 0.0)
 
 
 def _si_weight(m: SideInfoModel) -> float:
     """Equilibrium theta-weight: the plain game's closed form given W."""
-    return float(_stationary_weight(_conditional_pair(m)))
+    c = _conditional_pair(m)
+    return float(_stationary_weight(c.rho, c.r))
+
+
+def _si_costs(m: SideInfoModel, alpha: float, gain2: float, t: float, n: float) -> tuple[float, float, CostPair]:
+    """(kappa, dec_w, costs) of Y = c*(X + alpha*theta) + T + N, decoded on (Y, W).
+
+    t and n are the variances of T and N.  The kernel on the conditional pair gives
+    kappa, c times the weight on Y - E[Y|W] (``docs/derivation_notes.md`` §6); the
+    (Y, W) block is never inverted.
+    """
+    c = _conditional_pair(m)
+    kappa, d_e, d_d = _linear_costs(c.rho, c.r, alpha, gain2, t / c.sigma_x2, n / c.sigma_x2)
+    kappa = float(kappa)
+    dec_w = (m.rho_x_w - kappa * (m.rho_x_w + alpha * m.rho_theta_w)) / m.r_w
+    d_e = c.sigma_x2 * d_e + m.sigma_x2 * m.rho_theta_w**2 / m.r_w
+    return kappa, dec_w, CostPair(d_e=float(d_e), d_d=float(c.sigma_x2 * d_d))
 
 
 def solve_noiseless_si(m: SideInfoModel) -> SiEquilibriumReport:
     """Equilibrium over encoders Y = X + alpha*theta with decoding on (Y, W).
 
     Encoder noise is not injected (it is strictly harmful, as in the no-W
-    game); the weight is the plain game's closed form on the conditional
-    pair, and the decoder and costs come from covariance propagation.
+    game); the weight, the decoder and the costs are the plain game's
+    closed forms on the conditional pair.
     """
     require_valid(m)
     alpha = _si_weight(m)
-    scheme = LinearScheme(enc_gain=1.0, enc_theta_weight=alpha)
-    solved, costs = best_decoder(m, scheme, channel_noise_var=0.0)
-    return SiEquilibriumReport(
-        alpha_si=alpha,
-        dec_y=solved.dec_y_weight,
-        dec_w=solved.dec_w_weight,
-        costs=costs,
-    )
+    dec_y, dec_w, costs = _si_costs(m, alpha, 1.0, 0.0, 0.0)
+    return SiEquilibriumReport(alpha_si=alpha, dec_y=dec_y, dec_w=dec_w, costs=costs)
 
 
 def transmitter_si_invariance(m: SideInfoModel, b_values) -> InvarianceReport:
@@ -164,6 +174,7 @@ def si_rate(m: SideInfoModel, beta: float, sigma_s2: float) -> float:
     sigma_s2 = +inf returns 0.
     """
     require_valid(m)
+    _require_finite(beta=beta)
     if not sigma_s2 > 0.0:
         raise ZeroRate("sigma_s2 must be positive (use +inf for the zero-rate point)")
     if math.isinf(sigma_s2):
@@ -184,25 +195,28 @@ def beta_of_rate(m: SideInfoModel, rate: float) -> tuple[float, float]:
     if not rate > 0.0:
         raise ZeroRate(f"rate must be positive, got {rate!r}")
     beta = _si_weight(m)
-    return beta, float(m.sigma_x2 * _conditional_signal_ratio(m, beta) * _noise_per_signal(rate))
+    return beta, _test_noise(m, beta, rate)
+
+
+def _test_noise(m: SideInfoModel, beta: float, rate: float) -> float:
+    """sigma_s2 of the test channel with weight beta at ``rate`` bits; +inf at rate 0."""
+    return float(m.sigma_x2 * _conditional_signal_ratio(m, beta) * _noise_per_signal(rate))
 
 
 def si_rd_point(m: SideInfoModel, rate: float) -> SiRdPoint:
     """Costs of the rate-limited game at ``rate`` bits.
 
     Rate 0 returns the W-only point: the receiver estimates from side
-    information alone.  For positive rates the solved test channel is
-    re-evaluated through the exact covariance path.
+    information alone.  Positive rates too small to move the costs (1e-300
+    bits, say) land on the same point.  Costs are the closed-form best
+    response to the test channel.
     """
     require_valid(m)
     if not rate >= 0.0:
         raise ZeroRate(f"rate must be nonnegative, got {rate!r}")
-    if rate == 0.0:
-        _, costs = best_decoder(m, LinearScheme(enc_gain=0.0), 0.0)
-        return SiRdPoint(rate=0.0, beta=0.0, sigma_s2=math.inf, costs=costs)
-    beta, sigma_s2 = beta_of_rate(m, rate)
-    scheme = LinearScheme(enc_gain=1.0, enc_theta_weight=beta, enc_noise_var=sigma_s2)
-    _, costs = best_decoder(m, scheme, channel_noise_var=0.0)
+    beta = _si_weight(m) if rate > 0.0 else 0.0
+    sigma_s2 = _test_noise(m, beta, rate)
+    _, _, costs = _si_costs(m, beta, 1.0, sigma_s2, 0.0)
     return SiRdPoint(rate=rate, beta=beta, sigma_s2=sigma_s2, costs=costs)
 
 
@@ -217,11 +231,11 @@ def solve_noisy_si_linear(m: SideInfoModel, ch: ChannelSpec) -> tuple[LinearSche
     require_valid(m)
     validate_channel(ch)
     alpha = _si_weight(m)
-    b0 = 1.0 + 2.0 * alpha * m.rho_x_theta + alpha**2 * m.r_theta
-    gain = math.sqrt(ch.power / (m.sigma_x2 * b0))
-    encoder = LinearScheme(enc_gain=gain, enc_theta_weight=alpha)
-    solved, costs = best_decoder(m, encoder, channel_noise_var=ch.noise_var)
-    return solved, costs
+    gain2 = ch.power / (m.sigma_x2 * _signal_ratio(m.rho_x_theta, m.r_theta, alpha))
+    kappa, dec_w, costs = _si_costs(m, alpha, gain2, 0.0, ch.noise_var)
+    gain = math.sqrt(gain2)
+    scheme = LinearScheme(enc_gain=gain, enc_theta_weight=alpha, dec_y_weight=kappa / gain, dec_w_weight=dec_w)
+    return scheme, costs
 
 
 def match_condition(m: SideInfoModel, ch: ChannelSpec, tol: float = 1e-6) -> MatchReport:
@@ -234,18 +248,16 @@ def match_condition(m: SideInfoModel, ch: ChannelSpec, tol: float = 1e-6) -> Mat
     achieved minus bound encoder cost, which is nonnegative always and
     zero exactly at matched geometries.
     """
-    rate = capacity(ch)
-    beta, _ = beta_of_rate(m, rate)
+    scheme, lin_costs = solve_noisy_si_linear(m, ch)
+    rate, beta = capacity(ch), scheme.enc_theta_weight
     residual = abs(m.rho_x_w + m.rho_theta_w * beta)
-    _, lin_costs = solve_noisy_si_linear(m, ch)
-    bound = si_rd_point(m, rate)
-    gap = lin_costs.d_e - bound.costs.d_e
+    bound = _si_costs(m, beta, 1.0, _test_noise(m, beta, rate), 0.0)[2]
     return MatchReport(
         rate=rate,
         beta=beta,
         residual=float(residual),
         matched=bool(residual <= tol),
-        gap=float(gap),
+        gap=float(lin_costs.d_e - bound.d_e),
     )
 
 

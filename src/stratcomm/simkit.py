@@ -14,15 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gausslin import (
-    CostPair,
-    LinearScheme,
-    Model,
-    SideInfoModel,
-    SourcePairModel,
-    best_decoder,
-    require_valid,
-)
+from .equilibrium import _linear_costs, _signal_ratio
+from .gausslin import CostPair, LinearScheme, Model, SourcePairModel, _require_finite, require_valid
 
 # Substream layout: stream s, chunk i lives at jump s * _STREAM_STRIDE + i.
 # Each jump advances 2**128 Philox states, so streams can never overlap.
@@ -252,42 +245,6 @@ def empirical_decoder(
     )
 
 
-def _family_costs(
-    model: SourcePairModel,
-    alphas: np.ndarray,
-    sigma_t2s: np.ndarray,
-    channel_noise_var: float,
-    power: float | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized best-response costs over the deviation family.
-
-    Returns (d_e, d_d) arrays of shape (len(alphas), len(sigma_t2s)).
-    Entries violating a power budget are +inf.  Pure covariance algebra,
-    evaluated independently of any equilibrium formula so it can serve as a
-    falsification oracle.
-    """
-    s2, rho, r = model.sigma_x2, model.rho, model.r
-    al = np.asarray(alphas, float)[:, None]
-    st = np.asarray(sigma_t2s, float)[None, :]
-    b = 1.0 + 2.0 * al * rho + al**2 * r
-    if power is None:
-        c2 = np.ones_like(b + st)
-    else:
-        budget = power - st
-        c2 = np.where(budget >= 0.0, budget / (s2 * b), np.nan)
-    var_y = c2 * s2 * b + st + channel_noise_var
-    cov_xy2 = c2 * (s2 * (1.0 + al * rho)) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa_c = np.where(var_y > 0.0, c2 * s2 * (1.0 + al * rho) / var_y, 0.0)
-        d_d = s2 - np.where(var_y > 0.0, cov_xy2 / var_y, 0.0)
-    e_theta_err = s2 * rho - kappa_c * s2 * (rho + al * r)
-    d_e = d_d + 2.0 * e_theta_err + s2 * r
-    if power is not None:
-        d_e = np.where(np.isnan(c2), np.inf, d_e)
-        d_d = np.where(np.isnan(c2), np.inf, d_d)
-    return d_e, d_d
-
-
 def deviation_search(
     model: SourcePairModel,
     channel_noise_var: float,
@@ -297,21 +254,30 @@ def deviation_search(
     """Search the deviation grid for an encoder that beats the baseline.
 
     Every grid point is evaluated in closed form under best-response
-    decoding; no sampling.  ``improvement`` > 0 means the baseline was
-    beaten, i.e. it was not an equilibrium.
+    decoding; no sampling, and no use of the equilibrium weight rule, so
+    the search falsifies the weight independently.  ``improvement`` > 0
+    means the baseline was beaten, i.e. it was not an equilibrium.
     """
     require_valid(model)
-    _, base_costs = best_decoder(model, baseline, channel_noise_var)
-    d_e, _ = _family_costs(model, grid.alphas, grid.sigma_t2s, channel_noise_var, grid.power)
-    flat = int(np.argmin(d_e))
-    i, j = np.unravel_index(flat, d_e.shape)
-    best = float(d_e[i, j])
+    _require_finite(channel_noise_var=channel_noise_var, **vars(baseline))
+    s2, rho, r, n = model.sigma_x2, model.rho, model.r, channel_noise_var / model.sigma_x2
+    t = baseline.enc_noise_var / s2
+    base = float(s2 * _linear_costs(rho, r, baseline.enc_theta_weight, baseline.enc_gain**2, t, n)[1])
+    al = np.asarray(grid.alphas, float)[:, None]
+    st = np.asarray(grid.sigma_t2s, float)[None, :]
+    gain2 = 1.0
+    if grid.power is not None:  # a point whose noise alone exceeds the budget is not in the family
+        budget = grid.power - st
+        gain2 = np.where(budget >= 0.0, budget / (s2 * _signal_ratio(rho, r, al)), np.nan)
+    d_e = np.where(np.isnan(gain2), np.inf, _linear_costs(rho, r, al, gain2, st / s2, n)[1])
+    i, j = np.unravel_index(int(np.argmin(d_e)), d_e.shape)
+    best = float(s2 * d_e[i, j])
     return DeviationReport(
-        baseline_d_e=base_costs.d_e,
+        baseline_d_e=base,
         best_d_e=best,
         best_alpha=float(grid.alphas[i]),
         best_sigma_t2=float(grid.sigma_t2s[j]),
-        improvement=base_costs.d_e - best,
+        improvement=base - best,
     )
 
 

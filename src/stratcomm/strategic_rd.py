@@ -24,15 +24,9 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from ._csvio import write_rows
-from .equilibrium import best_alpha
+from .equilibrium import _linear_costs, _signal_ratio, best_alpha
 from .errors import InvalidDistribution, ZeroRate
-from .gausslin import (
-    CostPair,
-    LinearScheme,
-    SourcePairModel,
-    best_decoder,
-    require_valid,
-)
+from .gausslin import CostPair, SourcePairModel, require_valid
 from . import simkit
 
 _LN2 = math.log(2.0)
@@ -60,21 +54,20 @@ class RdPoint:
     sigma_s2: float
 
 
-def _effective_var_ratio(model: SourcePairModel, beta: float) -> float:
-    # Var(X + beta*theta) / sigma_x2
-    return 1.0 + beta**2 * model.r + 2.0 * beta * model.rho
-
-
-def _noise_per_signal(rate: float) -> float:
+def _noise_per_signal(rate):
     """1 / (2^(2R) - 1), the test-channel noise per unit signal variance.
 
-    As 2^(-2R) / -expm1(-2R ln 2) it neither overflows at high rates nor
+    As 2^(-2R) / |expm1(-2R ln 2)| it neither overflows at high rates nor
     cancels at tiny ones; below about 4e-309 bits it leaves the float range.
+    Elementwise over nonnegative rates; rate 0 gives +inf (nothing is sent).
     """
-    x = -2.0 * rate * _LN2
-    ratio = math.exp(x) / -math.expm1(x)
-    if math.isinf(ratio):
-        raise OverflowError(f"rate {rate!r} is too small for a finite test-channel noise")
+    rate = np.asarray(rate, float)
+    x = -2.0 * _LN2 * rate
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = np.exp(x) / np.abs(np.expm1(x))
+    tiny = rate[np.isinf(ratio) & (x < 0.0)]
+    if tiny.size:
+        raise OverflowError(f"rate {float(tiny[0])!r} is too small for a finite test-channel noise")
     return ratio
 
 
@@ -84,21 +77,20 @@ def rd_test_channel(model: SourcePairModel, rate: float) -> tuple[float, float]:
     beta does not depend on the rate; sigma_s2 is set so the mutual
     information I(X, theta; Y) equals ``rate`` bits exactly.
     """
-    require_valid(model)
     if not rate > 0.0:
         raise ZeroRate(f"rate must be positive, got {rate!r}")
-    beta = best_alpha(model)
-    b = _effective_var_ratio(model, beta)
-    sigma_s2 = model.sigma_x2 * b * _noise_per_signal(rate)
-    return beta, sigma_s2
+    point = rd_point(model, rate)
+    return point.beta, point.sigma_s2
 
 
 def rate_of_test_channel(model: SourcePairModel, beta: float, sigma_s2: float) -> float:
     """Mutual information I(X, theta; Y) in bits for a given test channel."""
     require_valid(model)
+    if math.isnan(sigma_s2):
+        raise ValueError("sigma_s2: must not be NaN (use +inf for the zero-rate point)")
     if sigma_s2 <= 0.0:
         raise ZeroRate("sigma_s2 must be positive (use +inf for the zero-rate point)")
-    b = _effective_var_ratio(model, beta)
+    b = _signal_ratio(model.rho, model.r, beta)
     return 0.5 * math.log2(1.0 + model.sigma_x2 * b / sigma_s2)
 
 
@@ -106,30 +98,25 @@ def rd_point(model: SourcePairModel, rate: float) -> RdPoint:
     """Costs on the strategic rate-distortion curve at ``rate`` bits.
 
     Rate 0 returns the no-information point exactly.  For positive rates
-    the costs are evaluated by covariance propagation of the test channel
-    under best-response decoding.
+    the costs are the closed-form best response to the test channel.
     """
-    require_valid(model)
-    if not rate >= 0.0:
-        raise ZeroRate(f"rate must be nonnegative, got {rate!r}")
-    if rate == 0.0:
-        from .gausslin import no_information_costs
-
-        return RdPoint(
-            rate=0.0,
-            costs=no_information_costs(model),
-            beta=best_alpha(model),
-            sigma_s2=math.inf,
-        )
-    beta, sigma_s2 = rd_test_channel(model, rate)
-    scheme = LinearScheme(enc_gain=1.0, enc_theta_weight=beta, enc_noise_var=sigma_s2)
-    _, costs = best_decoder(model, scheme, channel_noise_var=0.0)
-    return RdPoint(rate=rate, costs=costs, beta=beta, sigma_s2=sigma_s2)
+    return rd_sweep(model, [rate])[0]
 
 
 def rd_sweep(model: SourcePairModel, rates: np.ndarray) -> list[RdPoint]:
     """Evaluate the curve on a rate grid, preserving grid order."""
-    return [rd_point(model, float(rate)) for rate in np.asarray(rates, float)]
+    beta = best_alpha(model)
+    rates = np.asarray(rates, float)
+    bad = rates[~(rates >= 0.0)]
+    if bad.size:
+        raise ZeroRate(f"rate must be nonnegative, got {float(bad[0])!r}")
+    s2, b = model.sigma_x2, _signal_ratio(model.rho, model.r, beta)
+    t = b * _noise_per_signal(rates)
+    _, d_e, d_d = _linear_costs(model.rho, model.r, beta, 1.0, t, 0.0)
+    return [
+        RdPoint(rate=float(q), costs=CostPair(d_e=float(e), d_d=float(d)), beta=beta, sigma_s2=float(v))
+        for q, e, d, v in zip(rates, s2 * d_e, s2 * d_d, s2 * t)
+    ]
 
 
 def rd_sweep_csv(model: SourcePairModel, rates: np.ndarray, path: str) -> None:
@@ -317,8 +304,8 @@ def lloyd_max(
     """
     if not 2 <= levels <= 4096:
         raise ValueError("levels: must lie in [2, 4096]")
-    if source_var <= 0.0:
-        raise ValueError("source_var: must be positive")
+    if not (math.isfinite(source_var) and source_var > 0.0):
+        raise ValueError("source_var: must be positive and finite")
     # Work in standard units, rescale at the end.
     centroids = ndtri((np.arange(levels) + 0.5) / levels)
     iterations = 0
@@ -385,10 +372,9 @@ def empirical_triple(
     if n < 10_000:
         raise ValueError("n: need at least 10000 samples")
     beta = best_alpha(model)
-    b = _effective_var_ratio(model, beta)
-    var_v = model.sigma_x2 * b
+    var_v = model.sigma_x2 * _signal_ratio(model.rho, model.r, beta)
     quant = lloyd_max(levels, var_v)
-    kappa = (1.0 + beta * model.rho) / b  # Cov(X, V) / Var(V)
+    kappa = float(_linear_costs(model.rho, model.r, beta, 1.0, 0.0, 0.0)[0])  # Cov(X, V) / Var(V)
 
     table = simkit.sample(model, simkit.SimConfig(seed=seed, n=n, chunk=chunk))
     x = table.column("X")

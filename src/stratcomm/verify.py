@@ -26,7 +26,7 @@ import numpy as np
 
 from . import simkit
 from .control_games import CanonicalForm, QuadraticObjective, classification_report, solve_canonical
-from .equilibrium import best_alpha, corollary_limits, objective_j, solve_noiseless
+from .equilibrium import _signal_ratio, best_alpha, corollary_limits, objective_j, solve_noiseless
 from .gausslin import (
     LinearScheme,
     SideInfoModel,
@@ -40,10 +40,12 @@ from .side_info import (
     feasible_rho_xw_interval,
     find_matched_rho_xw,
     match_condition,
+    si_rd_point,
     solve_noiseless_si,
+    solve_noisy_si_linear,
     transmitter_si_invariance,
 )
-from .strategic_rd import empirical_triple, lloyd_max, rd_point
+from .strategic_rd import empirical_triple, lloyd_max, rd_point, rd_sweep
 
 DEFAULT_SEED = 0
 
@@ -91,6 +93,13 @@ def _random_pair_model(rng: np.random.Generator) -> SourcePairModel:
         rho=rho,
         r=float(rho * rho + rng.uniform(0.05, 2.5)),
     )
+
+
+def _random_si_model(rng: np.random.Generator) -> SideInfoModel:
+    a = rng.normal(size=(3, 3))
+    c = a @ a.T + 0.2 * np.eye(3)
+    c = c / c[0, 0]
+    return SideInfoModel(float(rng.uniform(0.25, 4.0)), c[0, 1], c[1, 1], c[0, 2], c[1, 2], c[2, 2])
 
 
 def _random_channel(rng: np.random.Generator) -> ChannelSpec:
@@ -143,6 +152,38 @@ def _no_profitable_deviation(rng):
         )
         worst = max(worst, report.improvement)
     return worst, 1e-9, "<=", "largest improvement over 100 sampled models"
+
+
+@_check("kernel_matches_propagation")
+def _kernel_matches_propagation(rng):
+    # Each solver route of the closed-form kernel against covariance
+    # propagation: noiseless, channel noise, test-channel noise, 1e-300 bits.
+    worst = 0.0
+    for _ in range(20):
+        rate, ch = float(rng.uniform(0.2, 4.0)), _random_channel(rng)
+        pair, si = _random_pair_model(rng), _random_si_model(rng)
+        eq, eq_si = solve_noiseless(pair), solve_noiseless_si(si)
+        noisy, noisy_si = solve_noisy(pair, ch), solve_noisy_si_linear(si, ch)
+        si_scheme = LinearScheme(enc_theta_weight=eq_si.alpha_si, dec_y_weight=eq_si.dec_y, dec_w_weight=eq_si.dec_w)
+        routes = [  # (model, scheme with the solver's decoder, channel noise, costs)
+            (pair, LinearScheme(enc_theta_weight=eq.alpha, dec_y_weight=eq.kappa), 0.0, eq.costs),
+            (si, si_scheme, 0.0, eq_si.costs),
+            (pair, noisy[0], ch.noise_var, noisy[1]),
+            (si, noisy_si[0], ch.noise_var, noisy_si[1]),
+        ]
+        points = [(pair, p) for p in rd_sweep(pair, [rate, 1e-300])]
+        points += [(si, si_rd_point(si, q)) for q in (rate, 1e-300)]
+        for m, p in points:  # a rate point reports no decoder
+            routes.append((m, LinearScheme(enc_theta_weight=p.beta, enc_noise_var=p.sigma_s2), 0.0, p.costs))
+        for model, scheme, noise, costs in routes:
+            solved, oracle = best_decoder(model, scheme, channel_noise_var=noise)
+            gap = max(abs(costs.d_e - oracle.d_e), abs(costs.d_d - oracle.d_d))
+            worst = max(worst, gap / model.sigma_x2)
+            if scheme.enc_noise_var == 0.0:
+                weights = np.array([scheme.dec_y_weight, scheme.dec_w_weight])
+                truth = np.array([solved.dec_y_weight, solved.dec_w_weight])
+                worst = max(worst, float(np.linalg.norm(weights - truth) / np.linalg.norm(truth)))
+    return worst, 1e-12, "<=", "costs per sigma_x2 and relative decoder weights on 160 routes"
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +489,7 @@ def _control_objective(model, cf, noise_var, alpha, gain):
     var_u = gain * (cov_xu + alpha * cov_tu)
     var_y = var_u + noise_var
     kappa = np.divide(cov_xu, var_y, out=np.zeros_like(var_y), where=var_y > 0.0)
-    track = s2 * (1.0 + 2.0 * k * rho + k * k * r) - 2.0 * kappa * (cov_xu + k * cov_tu) + kappa**2 * var_y
+    track = s2 * _signal_ratio(rho, r, k) - 2.0 * kappa * (cov_xu + k * cov_tu) + kappa**2 * var_y
     return track + cf.k1 * var_u + cf.k2 * cov_xu + cf.k3 * cov_tu
 
 
@@ -616,8 +657,7 @@ def _codec_matches_analysis(rng):
     model = GOLDEN_MODEL
     s2, rho, r = model.sigma_x2, model.rho, model.r
     beta = best_alpha(model)
-    b = 1.0 + 2.0 * beta * rho + beta**2 * r
-    var_v = s2 * b
+    var_v = s2 * _signal_ratio(rho, r, beta)
     kappa = s2 * (1.0 + beta * rho) / var_v
     lam = s2 * (rho + beta * r) / var_v
     mse = lloyd_max(_CODEC_LEVELS, var_v).mse

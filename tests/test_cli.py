@@ -8,7 +8,8 @@ import pytest
 from stratcomm import cli
 from stratcomm.equilibrium import solve_noiseless
 from stratcomm.gausslin import SideInfoModel, SourcePairModel
-from stratcomm.side_info import solve_noiseless_si
+from stratcomm.side_info import si_rd_point, solve_noiseless_si
+from stratcomm.strategic_rd import rd_point
 
 GOLDEN = {"schema": 1, "kind": "noiseless", "model": {"rho": 0.0, "r": 1.0}}
 
@@ -161,14 +162,15 @@ _SI_MODEL = {"rho_x_theta": 0.2, "r_theta": 1.0, "rho_x_w": 0.4, "rho_theta_w": 
 
 
 @pytest.mark.parametrize(
-    "kind, model, tiny_rate_code",
-    [("rd", {"rho": 0.2, "r": 1.3}, 0), ("si_rd", _SI_MODEL, 2)],
+    "kind, model", [("rd", {"rho": 0.2, "r": 1.3}), ("si_rd", _SI_MODEL)], ids=["rd", "si_rd"]
 )
-def test_extreme_rates_exit_cleanly(write_scenario, capsys, kind, model, tiny_rate_code):
+def test_extreme_rates_exit_cleanly(write_scenario, capsys, kind, model):
     if kind == "rd":
-        noiseless = solve_noiseless(SourcePairModel(sigma_x2=1.0, **model)).costs
+        m = SourcePairModel(sigma_x2=1.0, **model)
+        noiseless, zero_rate = solve_noiseless(m).costs, rd_point(m, 0.0).costs
     else:
-        noiseless = solve_noiseless_si(SideInfoModel(sigma_x2=1.0, **model)).costs
+        m = SideInfoModel(sigma_x2=1.0, **model)
+        noiseless, zero_rate = solve_noiseless_si(m).costs, si_rd_point(m, 0.0).costs
 
     def solve(rate):
         payload = {"schema": 1, "kind": kind, "model": model, "rate": rate}
@@ -182,14 +184,12 @@ def test_extreme_rates_exit_cleanly(write_scenario, capsys, kind, model, tiny_ra
     assert high["sigma_s2"] == 0.0
     assert high["d_e"] == pytest.approx(noiseless.d_e, rel=1e-12)
     assert high["d_d"] == pytest.approx(noiseless.d_d, rel=1e-12)
-    # 1e-300 bits: a pair model reports the no-information point; with side
-    # information the (Y, W) observation block is numerically singular
+    # 1e-300 bits: the zero-rate point, no information for a pair model and
+    # the W-only point with side information
     code, low = solve(1e-300)
-    assert code == tiny_rate_code
-    if code == 0:
-        assert low["d_d"] == pytest.approx(1.0, rel=1e-12)
-    else:
-        assert "SingularObservation" in low
+    assert code == 0
+    assert low["d_e"] == pytest.approx(zero_rate.d_e, rel=1e-12)
+    assert low["d_d"] == pytest.approx(zero_rate.d_d, rel=1e-12)
     # below about 4e-309 bits the noise variance itself would overflow
     code, err = solve(1e-320)
     assert code == 2

@@ -1,5 +1,7 @@
 """Covariance-algebra layer: validation, MMSE weights, exact costs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from stratcomm.gausslin import (
     scheme_costs,
     validate_model,
 )
-from stratcomm.side_info import si_rd_point, solve_noiseless_si
-from stratcomm.strategic_rd import rd_point
+from stratcomm.equilibrium import objective_j
+from stratcomm.side_info import si_rate, si_rd_point, solve_noiseless_si
+from stratcomm.simkit import GridSpec, deviation_search
+from stratcomm.strategic_rd import lloyd_max, rate_of_test_channel, rd_point
 
 
 def test_validate_accepts_valid_pair(golden_model):
@@ -61,14 +65,18 @@ def test_validate_side_info_minors():
 
 def test_mmse_matches_lstsq_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = rng.normal(size=(4, 4))
-        cov = a @ a.T + 0.5 * np.eye(4)
+    covs = [a @ a.T + 0.5 * np.eye(4) for a in rng.normal(size=(20, 4, 4))]
+    # variances 1e300 and 1, well conditioned once scaled to unit diagonal
+    wide = np.diag([1.0, 1e150, 1.0, 1.0])
+    unit = [[2.0, 0.3, 0.5, 0.1], [0.3, 1.0, 0.2, 0.0], [0.5, 0.2, 1.0, 0.0], [0.1, 0.0, 0.0, 1.0]]
+    covs.append(wide @ np.array(unit) @ wide)
+    for cov in covs:
         weights, err = mmse_linear(cov, 0, (1, 2, 3))
         block = cov[1:, 1:]
         cross = cov[1:, 0]
         expected = np.linalg.solve(block, cross)
-        assert np.allclose(weights, expected, atol=1e-10)
+        sd = np.sqrt(np.diag(block))  # compare weights per standard deviation
+        assert np.allclose(weights * sd, expected * sd, atol=1e-10)
         expected_err = cov[0, 0] - expected @ cross
         assert err == pytest.approx(expected_err, abs=1e-10)
 
@@ -161,8 +169,16 @@ def _scale_free_results(sigma_x2: float) -> list[float]:
     # sigma_x2 exact, so the direction scan sees one game at every scale
     cf = CanonicalForm(k1=0.15, k2=0.2, k3=-0.1, theta_weight=0.8)
     control, j_e, j_d = solve_canonical(SourcePairModel(sigma_x2, 0.2, 1.3), cf, 0.5 * sigma_x2)
+    grid = GridSpec.around(0.6, sigma_t2_max=2.0 * sigma_x2, power=3.0 * sigma_x2)
+    deviation = deviation_search(pair, 0.5 * sigma_x2, LinearScheme(enc_theta_weight=0.6), grid)
     costs = [c / sigma_x2 for p in pairs for c in (p.d_e, p.d_d)]
-    return costs + [j_e / sigma_x2, j_d / sigma_x2, control.enc_theta_weight, control.enc_gain]
+    return costs + [
+        j_e / sigma_x2,
+        j_d / sigma_x2,
+        control.enc_theta_weight,
+        control.enc_gain,
+        deviation.best_d_e / sigma_x2,
+    ]
 
 
 @pytest.mark.parametrize("sigma_x2", [1e-200, 1e-13, 1.0, 1e13, 1e200])
@@ -172,3 +188,32 @@ def test_costs_scale_exactly_with_sigma_x2(sigma_x2):
     assert _scale_free_results(sigma_x2) == pytest.approx(
         _scale_free_results(1.0), rel=1e-12, abs=0.0
     )
+
+
+def _non_finite_entries() -> list:
+    pair, si = SourcePairModel(1.0, 0.0, 1.0), SideInfoModel(1.0, 0.2, 1.0, 0.4, -0.3, 1.0)
+    grid = GridSpec.around(0.5)
+    entries = [
+        ("objective_j", "alpha", lambda x: objective_j(pair, x)),
+        ("objective_j", "sigma_t2", lambda x: objective_j(pair, 0.5, x)),
+        ("rate_of_test_channel", "sigma_s2", lambda x: rate_of_test_channel(pair, 0.5, x)),
+        ("si_rate", "beta", lambda x: si_rate(si, x, 1.0)),
+        ("lloyd_max", "source_var", lambda x: lloyd_max(4, x)),
+        ("deviation_search", "channel_noise_var", lambda x: deviation_search(pair, x, LinearScheme(), grid)),
+        ("deviation_search", "enc_gain", lambda x: deviation_search(pair, 0.0, LinearScheme(enc_gain=x), grid)),
+    ]
+    for fn in (best_decoder, scheme_costs):
+        entries.append((fn.__name__, "channel_noise_var", lambda x, fn=fn: fn(si, LinearScheme(), x)))
+        for f in ("enc_noise_var", "enc_gain", "enc_theta_weight"):
+            entries.append((fn.__name__, f, lambda x, fn=fn, f=f: fn(si, LinearScheme(**{f: x}))))
+    return [pytest.param(field, call, id=f"{name}-{field}") for name, field, call in entries]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field, call", _non_finite_entries())
+def test_entries_reject_non_finite_inputs(field, call, value):
+    if field == "sigma_s2" and value == math.inf:
+        assert call(value) == 0.0  # +inf test-channel noise is the zero-rate point
+    else:
+        with pytest.raises(ValueError, match=field):
+            call(value)

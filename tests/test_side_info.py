@@ -113,6 +113,16 @@ def test_zero_rate_point_is_w_only_estimation(si_correlated):
         beta_of_rate(si_correlated, 0.0)
 
 
+@pytest.mark.parametrize("rate", [1e-12, 1e-30, 1e-300])
+def test_tiny_rates_give_the_w_only_point(si_correlated, rate):
+    # the test-channel noise (up to about 1e300 * sigma_x2) dwarfs W's
+    # variance; the receiver then leans on W alone, as rd_point on the prior
+    point = si_rd_point(si_correlated, rate)
+    w_only = si_rd_point(si_correlated, 0.0).costs
+    assert point.costs.d_e == pytest.approx(w_only.d_e, rel=1e-11, abs=0.0)
+    assert point.costs.d_d == pytest.approx(w_only.d_d, rel=1e-11, abs=0.0)
+
+
 def test_nan_rate_is_rejected(si_correlated):
     with pytest.raises(ZeroRate):
         beta_of_rate(si_correlated, math.nan)

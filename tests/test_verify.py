@@ -1,12 +1,13 @@
 """Self-check battery: suite contract, determinism, tamper detection."""
 
 import json
+import sys
 from dataclasses import replace
 
 import pytest
 
 import stratcomm.side_info as side_info
-from stratcomm import verify
+from stratcomm import equilibrium, verify
 
 
 def test_quick_suite_passes_and_serializes():
@@ -14,10 +15,10 @@ def test_quick_suite_passes_and_serializes():
     assert out["profile"] == "quick"
     assert out["n_failed"] == 0
     assert out["failed"] == []
-    assert out["n_checks"] == len(out["checks"]) == 27
+    assert out["n_checks"] == len(out["checks"]) == 28
     # the CLI writes this dict straight to disk, so it must round-trip
     blob = json.dumps(out)
-    assert json.loads(blob)["n_checks"] == 27
+    assert json.loads(blob)["n_checks"] == 28
 
 
 def test_full_suite_is_a_superset_of_quick():
@@ -47,6 +48,22 @@ def test_battery_catches_skipped_conditioning(monkeypatch):
     out = verify.run_suite("quick", seed=0)
     assert out["n_failed"] > 0
     assert "si_weight_beats_grid" in out["failed"]
+
+
+def test_battery_catches_a_perturbed_kernel(monkeypatch):
+    # every solver's costs come from one kernel; moving its encoder cost by
+    # 1e-9 per sigma_x2 must show against covariance propagation
+    real = equilibrium._linear_costs
+
+    def perturbed(*args):
+        kappa, d_e, d_d = real(*args)
+        return kappa, d_e + 1e-9, d_d
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stratcomm") and getattr(module, "_linear_costs", None) is real:
+            monkeypatch.setattr(module, "_linear_costs", perturbed)
+    out = verify.run_suite("quick", seed=0)
+    assert "kernel_matches_propagation" in out["failed"]
 
 
 def test_battery_catches_a_control_weight_off_the_optimum(monkeypatch):
