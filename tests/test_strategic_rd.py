@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from stratcomm.equilibrium import best_alpha, objective_j, solve_noiseless
 from stratcomm.errors import InvalidDistribution, ZeroRate
 from stratcomm.gausslin import no_information_costs
 from stratcomm.strategic_rd import (
     DiscreteInstance,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _solve_tridiagonal,
     bits_to_nats,
     discrete_best_response,
     discrete_triple,
@@ -250,9 +254,84 @@ def test_quantizer_validation_and_serialization():
         lloyd_max(1, 1.0)
     with pytest.raises(ValueError):
         lloyd_max(4, 0.0)
+    assert lloyd_max(np.int64(4), 1.0).mse == pytest.approx(LLOYD4_MSE, abs=1e-9)
     payload = json.loads(lloyd_max(4, 1.0).to_json())
     assert payload["levels"] == 4
     assert payload["mse"] == pytest.approx(LLOYD4_MSE, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "levels, residual_tol, field",
+    [
+        (4.5, 1e-12, "levels"),
+        (4.0, 1e-12, "levels"),
+        (True, 1e-12, "levels"),
+        ("4", 1e-12, "levels"),
+        (4, 0.0, "residual_tol"),
+        (4, -1e-12, "residual_tol"),
+        (4, math.nan, "residual_tol"),
+        (4, math.inf, "residual_tol"),
+    ],
+)
+def test_quantizer_rejects_bad_levels_and_tolerance(levels, residual_tol, field):
+    with pytest.raises(ValueError, match=field):
+        lloyd_max(levels, 1.0, residual_tol=residual_tol)
+
+
+def _normal_pdf(z):
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+def _lloyd_step_by_quadrature(thresholds):
+    """Cell means of N(0, 1) between ``thresholds`` by adaptive quadrature."""
+    edges = [-math.inf, *thresholds.tolist(), math.inf]
+    means = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mass = quad(_normal_pdf, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+        first = quad(lambda z: z * _normal_pdf(z), lo, hi, epsabs=1e-300, epsrel=1e-13)[0]
+        means.append(first / mass)
+    return np.array(means)
+
+
+@pytest.mark.parametrize("levels", [2, 16, 256, 4096])
+def test_quantizer_is_a_lloyd_fixed_point(levels):
+    quant = lloyd_max(levels, 1.0)
+    step = _lloyd_step_by_quadrature(quant.thresholds)
+    assert np.max(np.abs(step - quant.centroids)) <= 1e-12
+
+
+def test_quantizer_mse_approaches_the_panter_dite_limit():
+    limit = math.sqrt(3.0) * math.pi / 2.0
+    levels = [2**k for k in range(1, 13)]
+    mses = [lloyd_max(k, 1.0).mse for k in levels]
+    assert all(a > b for a, b in zip(mses, mses[1:]))
+    scaled = [k * k * mse for k, mse in zip(levels, mses)]
+    assert all(a < b for a, b in zip(scaled, scaled[1:]))
+    assert scaled[-1] < limit
+    assert scaled[-1] > 0.999 * limit
+
+
+@pytest.mark.parametrize("levels", [512, 4096])
+def test_many_level_quantizers_take_few_newton_steps(levels):
+    quant = lloyd_max(levels, 1.0)
+    assert 1 <= quant.iterations <= 10
+
+
+def test_quadrature_rule_is_sixteen_point_gauss_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(_GL_NODES, nodes)
+    assert np.array_equal(_GL_WEIGHTS, weights)
+
+
+def test_tridiagonal_sweep_matches_a_dense_solve():
+    rng = np.random.default_rng(7)
+    n = 9
+    sub, sup = rng.uniform(0.0, 0.5, n - 1), rng.uniform(0.0, 0.5, n - 1)
+    diag = -1.0 - rng.uniform(0.0, 0.5, n)
+    rhs = rng.normal(size=n)
+    dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+    got = _solve_tridiagonal(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
+    assert got == pytest.approx(np.linalg.solve(dense, rhs), abs=1e-14)
 
 
 def test_quantize_maps_to_nearest_centroid():
