@@ -4,11 +4,18 @@ Sampling is counter-based: the master seed keys a Philox stream and every
 chunk of every logical noise source jumps to its own disjoint substream, so
 results are bit-identical no matter how chunks would be scheduled.  Nothing
 here feeds back into the solvers; this module exists to check them.
+
+The hot loops build no n-row temporary.  ``sample`` fills one preallocated
+table chunk by chunk; ``estimate_costs`` walks the table in the same chunks,
+drawing each chunk's noises into one reused buffer and merging per-chunk
+moments of the squared errors; ``ace_max_correlation`` bins the samples
+once and iterates on the bins x bins table of joint counts.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,29 +137,45 @@ def _substream(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-def _chunk_sizes(n: int, chunk: int) -> list[int]:
-    sizes = []
-    remaining = n
-    while remaining > 0:
-        take = min(chunk, remaining)
-        sizes.append(take)
-        remaining -= take
-    return sizes
+class _ErrorMoments:
+    """Running mean and centered second moment of two squared-error streams.
 
+    Each ``add`` takes one (2, m) block of errors (encoder's, decoder's),
+    squares it in place, reduces it, and merges it into the totals by the
+    pairwise rule of Chan, Golub & LeVeque, so no n-row array is needed.
+    """
 
-def _chunked_normals(seed: int, stream: int, n: int, chunk: int, cols: int) -> np.ndarray:
-    parts = []
-    for i, size in enumerate(_chunk_sizes(n, chunk)):
-        parts.append(_substream(seed, stream, i).standard_normal((size, cols)))
-    return np.vstack(parts) if parts else np.zeros((0, cols))
+    def __init__(self) -> None:
+        self.count = 0
+        self.mean = np.zeros(2)
+        self.m2 = np.zeros(2)
+
+    def add(self, errors: np.ndarray) -> None:
+        m = errors.shape[1]
+        np.square(errors, out=errors)
+        mean = errors.sum(axis=1) / m
+        errors -= mean[:, None]
+        np.square(errors, out=errors)
+        total = self.count + m
+        delta = mean - self.mean
+        self.mean += delta * (m / total)
+        self.m2 += errors.sum(axis=1) + delta * delta * (self.count * m / total)
+        self.count = total
+
+    def result(self) -> tuple[CostPair, float, float]:
+        """Mean costs and their standard errors (ddof 1, or 0 for one row)."""
+        n = self.count
+        stderr_e, stderr_d = np.sqrt(self.m2 / max(n - 1, 1)) / np.sqrt(n)
+        return CostPair(d_e=float(self.mean[0]), d_d=float(self.mean[1])), float(stderr_e), float(stderr_d)
 
 
 def sample(model: Model, cfg: SimConfig) -> SampleTable:
     """Draw ``cfg.n`` rows of the model's joint law, chunk-deterministically.
 
-    The same (model, cfg) always yields the same table; chunks are
-    independent substreams so the content of chunk i does not depend on how
-    many chunks follow it.
+    Rows ``[i*chunk, (i+1)*chunk)`` are standard normals from substream i of
+    the source stream, mapped through the Cholesky factor of the model's
+    covariance.  The same (model, cfg) always yields the same table, and
+    the content of chunk i does not depend on how many chunks follow it.
     """
     require_valid(model)
     if cfg.n < 1:
@@ -161,10 +184,11 @@ def sample(model: Model, cfg: SimConfig) -> SampleTable:
         raise ValueError("chunk: must be positive")
     cov = model.covariance()
     chol = np.linalg.cholesky(cov)
-    z = _chunked_normals(cfg.seed, _STREAM_SOURCE, cfg.n, cfg.chunk, cov.shape[0])
-    data = z @ chol.T
+    z = np.empty((cfg.n, cov.shape[0]))
+    for i, start in enumerate(range(0, cfg.n, cfg.chunk)):
+        _substream(cfg.seed, _STREAM_SOURCE, i).standard_normal(out=z[start : start + cfg.chunk])
     columns = ("X", "theta") if isinstance(model, SourcePairModel) else ("X", "theta", "W")
-    return SampleTable(columns=columns, data=data)
+    return SampleTable(columns=columns, data=z @ chol.T)
 
 
 def estimate_costs(
@@ -175,40 +199,72 @@ def estimate_costs(
 ) -> CostEstimate:
     """Monte Carlo costs of a scheme on a sampled table.
 
-    Fresh encoder noise T and channel noise N are drawn per row from
-    substreams of ``cfg.seed`` that are disjoint from the source stream, so
-    repeated calls are reproducible and independent of the source draw.
+    Fresh encoder noise T and channel noise N are drawn per row: row r of
+    chunk i takes its T from substream i of the encoder-noise stream and
+    its N from substream i of the channel-noise stream, both disjoint from
+    the source stream, so repeated calls are reproducible and independent
+    of the source draw.  A noise with zero variance is not drawn.
+
+    The table is walked one chunk at a time.  Each error is linear in the
+    row and the noises, so the encoder and decoder weights are folded into
+    one coefficient vector per cost and a chunk's two errors come from one
+    small matrix product; their squares are merged across chunks by
+    ``_ErrorMoments``.
     """
+    _require_finite(channel_noise_var=channel_noise_var, **vars(scheme))
     if channel_noise_var < 0.0 or scheme.enc_noise_var < 0.0:
         raise ValueError("noise variances must be nonnegative")
-    n = samples.data.shape[0]
-    x = samples.column("X")
-    theta = samples.column("theta")
-    w = samples.column("W") if "W" in samples.columns else np.zeros(n)
+    data = samples.data
+    n, k = data.shape
+    # Xhat = ky*g*(X + a*theta + s*W) + kw*W + ky*sqrt(t)*T + ky*sqrt(nv)*N
+    ky, g = scheme.dec_y_weight, scheme.enc_gain
+    xhat = [ky * g, ky * g * scheme.enc_theta_weight, ky * g * scheme.enc_si_weight + scheme.dec_w_weight]
+    noises = [
+        (stream, ky * math.sqrt(var))
+        for stream, var in ((_STREAM_ENC_NOISE, scheme.enc_noise_var), (_STREAM_CHANNEL_NOISE, channel_noise_var))
+        if var > 0.0
+    ]
+    coef = -np.array([xhat[:k] + [w for _, w in noises]] * 2)
+    coef[:, 0] += 1.0  # both errors are measured from X ...
+    coef[0, 1] += 1.0  # ... and the encoder's from X + theta
+    block = np.empty((coef.shape[1], min(cfg.chunk, n)))
+    errors = np.empty((2, block.shape[1]))
+    moments = _ErrorMoments()
+    for i, start in enumerate(range(0, n, cfg.chunk)):
+        rows = data[start : start + cfg.chunk]
+        m = rows.shape[0]
+        block[:k, :m] = rows.T
+        for j, (stream, _) in enumerate(noises):
+            _substream(cfg.seed, stream, i).standard_normal(out=block[k + j, :m])
+        moments.add(np.matmul(coef, block[:, :m], out=errors[:, :m]))
+    return CostEstimate(*moments.result())
 
-    u = scheme.enc_gain * (x + scheme.enc_theta_weight * theta + scheme.enc_si_weight * w)
-    if scheme.enc_noise_var > 0.0:
-        t = _chunked_normals(cfg.seed, _STREAM_ENC_NOISE, n, cfg.chunk, 1)[:, 0]
-        u = u + np.sqrt(scheme.enc_noise_var) * t
-    y = u
-    if channel_noise_var > 0.0:
-        nse = _chunked_normals(cfg.seed, _STREAM_CHANNEL_NOISE, n, cfg.chunk, 1)[:, 0]
-        y = y + np.sqrt(channel_noise_var) * nse
-    xhat = scheme.dec_y_weight * y + scheme.dec_w_weight * w
 
-    sq_e = (x + theta - xhat) ** 2
-    sq_d = (x - xhat) ** 2
-    ddof = 1 if n > 1 else 0
-    return CostEstimate(
-        costs=CostPair(d_e=float(sq_e.mean()), d_d=float(sq_d.mean())),
-        stderr_e=float(sq_e.std(ddof=ddof) / np.sqrt(n)),
-        stderr_d=float(sq_d.std(ddof=ddof) / np.sqrt(n)),
-    )
+def _sample_vectors(**named: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Equal-length finite float vectors, or a ValueError naming the bad one."""
+    arrays = tuple(np.asarray(v, dtype=float) for v in named.values())
+    if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+        raise ValueError(f"{' and '.join(named)} must be equal-length vectors")
+    for name, a in zip(named, arrays):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name}: must be finite")
+    return arrays
 
 
 def _quantile_bins(values: np.ndarray, bins: int) -> np.ndarray:
-    edges = np.quantile(values, np.linspace(0.0, 1.0, bins + 1)[1:-1])
-    return np.searchsorted(edges, values, side="right")
+    """Bin of each value: the number of interior quantile edges at or below it.
+
+    A value of rank r passes edge k exactly when at most r values lie below
+    the edge, so the bins are read off the sorted order instead of by a
+    binary search per value.
+    """
+    order = np.argsort(values)
+    ranked = values[order]
+    edges = np.quantile(ranked, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+    sizes = np.diff(np.searchsorted(ranked, edges), prepend=0, append=values.size)
+    idx = np.empty(values.size, dtype=np.intp)
+    idx[order] = np.repeat(np.arange(bins), sizes)
+    return idx
 
 
 def empirical_decoder(
@@ -225,10 +281,7 @@ def empirical_decoder(
     """
     if cfg.bins < 2:
         raise ValueError("bins: need at least two bins")
-    y = np.asarray(samples_y, dtype=float)
-    x = np.asarray(samples_x, dtype=float)
-    if y.shape != x.shape or y.ndim != 1:
-        raise ValueError("samples_y and samples_x must be equal-length vectors")
+    y, x = _sample_vectors(samples_y=samples_y, samples_x=samples_x)
     idx = _quantile_bins(y, cfg.bins)
     counts = np.bincount(idx, minlength=cfg.bins).astype(float)
     safe = np.maximum(counts, 1.0)
@@ -281,12 +334,26 @@ def deviation_search(
     )
 
 
-def _bin_standardize(values_per_row: np.ndarray) -> np.ndarray:
-    mean = values_per_row.mean()
-    sd = values_per_row.std()
-    if sd <= 0.0:
+def _bin_moments(values: np.ndarray, counts: np.ndarray, n: int) -> tuple[float, float]:
+    """Mean and standard deviation over the rows of the per-row function values[bin]."""
+    mean = counts @ values / n
+    centered = values - mean
+    return mean, math.sqrt(counts @ (centered * centered) / n)
+
+
+def _bin_standardize(values: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    occupied = values[counts > 0]
+    if occupied.min() == occupied.max():
         raise ValueError("degenerate function during alternating projections")
-    return (values_per_row - mean) / sd
+    mean, sd = _bin_moments(values, counts, n)
+    return (values - mean) / sd
+
+
+def _identity_corr(values: np.ndarray, counts: np.ndarray, sums: np.ndarray, samples: np.ndarray) -> float:
+    """|corr(values[bin], samples)| over the rows, from per-bin sums of the samples."""
+    n = samples.size
+    mean, sd = _bin_moments(values, counts, n)
+    return abs(float((values @ sums / n - mean * samples.mean()) / (sd * samples.std())))
 
 
 def ace_max_correlation(
@@ -297,51 +364,51 @@ def ace_max_correlation(
 ) -> AceReport:
     """Maximal correlation sup corr(f(X), g(Y)) by alternating projections.
 
-    X and Y are discretized into quantile bins; the conditional-expectation
-    operator is then a stochastic matrix and the procedure is a power
-    iteration, so the per-iteration correlations are nondecreasing up to
-    sampling noise.  ``identity_corr_x`` reports |corr(f(X), X)|, which is
-    near 1 exactly when the optimal transform is linear.
+    X and Y are discretized into quantile bins, once; the rows then enter
+    only through the bins x bins table of joint counts.  A function of the
+    bin is a vector, the conditional expectation of one side given the
+    other is a product with the table divided by the bin counts, and each
+    sweep standardizes with count weights (Breiman & Friedman's ACE).  The
+    procedure is a power iteration, so the per-iteration correlations are
+    nondecreasing up to sampling noise.  ``identity_corr_x`` reports
+    |corr(f(X), X)|, taken from the per-bin sums of X; it is near 1
+    exactly when the optimal transform is linear.
     """
     if not 8 <= bins <= 1024:
         raise ValueError("bins: must lie in [8, 1024]")
     if iterations < 10:
         raise ValueError("iterations: need at least 10")
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be equal-length vectors")
+    x, y = _sample_vectors(x=x, y=y)
     n = x.size
     if n < 10_000:
         raise ValueError("n: need at least 10000 samples")
 
     bx = _quantile_bins(x, bins)
     by = _quantile_bins(y, bins)
-    cx = np.maximum(np.bincount(bx, minlength=bins), 1)
-    cy = np.maximum(np.bincount(by, minlength=bins), 1)
+    table = np.bincount(bx * bins + by, minlength=bins * bins).reshape(bins, bins).astype(float)
+    nx, ny = table.sum(axis=1), table.sum(axis=0)
+    cx, cy = np.maximum(nx, 1.0), np.maximum(ny, 1.0)
+    sum_x = np.bincount(bx, weights=x, minlength=bins)
 
-    f_bins = np.bincount(bx, weights=x, minlength=bins) / cx
-    f = _bin_standardize(f_bins[bx])
+    f_bins = sum_x / cx
+    f = _bin_standardize(f_bins, nx, n)
     history = []
-    g = np.zeros(n)
-    g_bins = np.zeros(bins)
+    g = g_bins = np.zeros(bins)
     for _ in range(iterations):
-        g_bins = np.bincount(by, weights=f, minlength=bins) / cy
-        g = _bin_standardize(g_bins[by])
-        f_bins = np.bincount(bx, weights=g, minlength=bins) / cx
-        f = _bin_standardize(f_bins[bx])
-        history.append(float(np.mean(f * g)))
-
-    def _corr(a: np.ndarray, b: np.ndarray) -> float:
-        return float(abs(np.corrcoef(a, b)[0, 1]))
+        g_bins = (f @ table) / cy
+        g = _bin_standardize(g_bins, ny, n)
+        table_g = table @ g
+        f_bins = table_g / cx
+        f = _bin_standardize(f_bins, nx, n)
+        history.append(float(f @ table_g / n))
 
     return AceReport(
         estimate=history[-1],
         history=tuple(history),
         f_bin_values=f_bins,
         g_bin_values=g_bins,
-        identity_corr_x=_corr(f, x),
-        identity_corr_y=_corr(g, y),
+        identity_corr_x=_identity_corr(f, nx, sum_x, x),
+        identity_corr_y=_identity_corr(g, ny, np.bincount(by, weights=y, minlength=bins), y),
     )
 
 

@@ -450,15 +450,9 @@ def empirical_triple(
     kappa = float(_linear_costs(model.rho, model.r, beta, 1.0, 0.0, 0.0)[0])  # Cov(X, V) / Var(V)
 
     table = simkit.sample(model, simkit.SimConfig(seed=seed, n=n, chunk=chunk))
-    x = table.column("X")
-    theta = table.column("theta")
-    v = x + beta * theta
-    xhat = kappa * quant.quantize(v)
-    sq_e = (x + theta - xhat) ** 2
-    sq_d = (x - xhat) ** 2
-    return EmpiricalTriple(
-        rate_bits=math.log2(levels),
-        costs=CostPair(d_e=float(sq_e.mean()), d_d=float(sq_d.mean())),
-        stderr_e=float(sq_e.std(ddof=1) / math.sqrt(n)),
-        stderr_d=float(sq_d.std(ddof=1) / math.sqrt(n)),
-    )
+    moments = simkit._ErrorMoments()
+    for start in range(0, n, chunk):
+        x, theta = table.data[start : start + chunk].T
+        xhat = kappa * quant.quantize(x + beta * theta)
+        moments.add(np.stack([x + theta - xhat, x - xhat]))
+    return EmpiricalTriple(math.log2(levels), *moments.result())

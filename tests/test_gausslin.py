@@ -22,7 +22,7 @@ from stratcomm.gausslin import (
 )
 from stratcomm.equilibrium import objective_j
 from stratcomm.side_info import si_rate, si_rd_point, solve_noiseless_si
-from stratcomm.simkit import GridSpec, deviation_search
+from stratcomm.simkit import GridSpec, SimConfig, deviation_search, estimate_costs, sample
 from stratcomm.strategic_rd import lloyd_max, rate_of_test_channel, rd_point
 
 
@@ -193,6 +193,8 @@ def test_costs_scale_exactly_with_sigma_x2(sigma_x2):
 def _non_finite_entries() -> list:
     pair, si = SourcePairModel(1.0, 0.0, 1.0), SideInfoModel(1.0, 0.2, 1.0, 0.4, -0.3, 1.0)
     grid = GridSpec.around(0.5)
+    cfg = SimConfig(seed=0, n=100)
+    table = sample(si, cfg)
     entries = [
         ("objective_j", "alpha", lambda x: objective_j(pair, x)),
         ("objective_j", "sigma_t2", lambda x: objective_j(pair, 0.5, x)),
@@ -206,6 +208,11 @@ def _non_finite_entries() -> list:
         entries.append((fn.__name__, "channel_noise_var", lambda x, fn=fn: fn(si, LinearScheme(), x)))
         for f in ("enc_noise_var", "enc_gain", "enc_theta_weight"):
             entries.append((fn.__name__, f, lambda x, fn=fn, f=f: fn(si, LinearScheme(**{f: x}))))
+    entries.append(("estimate_costs", "channel_noise_var", lambda x: estimate_costs(table, LinearScheme(), x, cfg)))
+    for f in LinearScheme.__dataclass_fields__:
+        entries.append(
+            ("estimate_costs", f, lambda x, f=f: estimate_costs(table, LinearScheme(**{f: x}), 0.5, cfg))
+        )
     return [pytest.param(field, call, id=f"{name}-{field}") for name, field, call in entries]
 
 

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from stratcomm.equilibrium import best_alpha, objective_j, solve_noiseless
 from stratcomm.errors import InvalidDistribution, ZeroRate
-from stratcomm.gausslin import no_information_costs
+from stratcomm.gausslin import SourcePairModel, no_information_costs
 from stratcomm.strategic_rd import (
     DiscreteInstance,
     _GL_NODES,
@@ -361,6 +361,29 @@ def test_empirical_triple_is_deterministic_and_calibrated(golden_model):
     predicted_d_e = 2.0 - 2.0 * kappa * mu * keep + kappa * kappa * keep
     assert abs(run1.costs.d_d - predicted_d_d) <= 4.0 * run1.stderr_d
     assert abs(run1.costs.d_e - predicted_d_e) <= 4.0 * run1.stderr_e
+
+
+def _whole_array_triple(model, levels: int, n: int, seed: int, chunk: int) -> tuple:
+    """Second route: the codec's squared errors as n-row arrays."""
+    from stratcomm.equilibrium import _linear_costs, _signal_ratio
+    from stratcomm.simkit import SimConfig, sample
+
+    beta = best_alpha(model)
+    quant = lloyd_max(levels, model.sigma_x2 * _signal_ratio(model.rho, model.r, beta))
+    kappa = float(_linear_costs(model.rho, model.r, beta, 1.0, 0.0, 0.0)[0])
+    table = sample(model, SimConfig(seed=seed, n=n, chunk=chunk))
+    x, theta = table.column("X"), table.column("theta")
+    xhat = kappa * quant.quantize(x + beta * theta)
+    sq_e, sq_d = (x + theta - xhat) ** 2, (x - xhat) ** 2
+    return sq_e.mean(), sq_d.mean(), sq_e.std(ddof=1) / math.sqrt(n), sq_d.std(ddof=1) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("n, chunk", [(10_000, 2**16), (65_536, 8192), (50_001, 4096)])
+def test_chunked_triple_matches_the_whole_array_codec(n, chunk):
+    model = SourcePairModel(1.7, 0.3, 1.1)
+    run = empirical_triple(model, 16, n, seed=5, chunk=chunk)
+    got = (run.costs.d_e, run.costs.d_d, run.stderr_e, run.stderr_d)
+    assert got == pytest.approx(_whole_array_triple(model, 16, n, 5, chunk), rel=1e-12, abs=0.0)
 
 
 def test_empirical_triple_rejects_tiny_samples(golden_model):
