@@ -72,6 +72,13 @@ def _signal_ratio(rho, r, alpha):
     return 1.0 + alpha * (2.0 * rho + alpha * r)
 
 
+def _select(cond, a, b):
+    """a where cond holds, else b: a plain branch on a bool, np.where on an array."""
+    if isinstance(cond, (bool, np.bool_)):
+        return a if cond else b
+    return np.where(cond, a, b)
+
+
 def _linear_costs(rho, r, alpha, gain2, t, n):
     """(kappa, d_e, d_d) of Y = c*(X + alpha*theta) + T + N under the best decoder.
 
@@ -79,13 +86,14 @@ def _linear_costs(rho, r, alpha, gain2, t, n):
     c^2, t and n the variances of T and N.  kappa is c times the weight on
     Y.  As in the oracle decoder, Y is dropped when Var(Y) <= PSD_RTOL *
     max(sigma_x2, Var(Y)), so t = inf gives the no-information costs and
-    gain2 = 0 the prior point.
+    gain2 = 0 the prior point.  Floats in give floats out, with no numpy
+    call; arrays in give arrays, equal to the float route bit for bit.
     """
     cov_xs = 1.0 + alpha * rho  # Cov(X, X + alpha*theta) / sigma_x2
     cov_ts = rho + alpha * r  # Cov(theta, X + alpha*theta) / sigma_x2
     var_y = gain2 * _signal_ratio(rho, r, alpha) + t + n
-    keep = var_y > PSD_RTOL * np.maximum(1.0, var_y)
-    kappa = np.where(keep, gain2 * cov_xs / np.where(keep, var_y, 1.0), 0.0)
+    keep = var_y > PSD_RTOL * _select(var_y > 1.0, var_y, 1.0)
+    kappa = _select(keep, gain2 * cov_xs / _select(keep, var_y, 1.0), 0.0)
     d_d = 1.0 - kappa * cov_xs
     return kappa, d_d + 2.0 * (rho - kappa * cov_ts) + r, d_d
 
@@ -114,17 +122,18 @@ def _stationary_weight(rho, r):
     Side information conditions a validated model down to a pair that is
     positive definite but may sit inside the pair validation tolerance.  A
     root at which X + root*theta has no variance sends nothing, so the
-    kernel scores it at the no-information cost.
+    kernel scores it at the no-information cost.  Floats or arrays, as in
+    :func:`_linear_costs` (math.sqrt and np.sqrt both round correctly).
     """
-    s = np.asarray(r + rho, float)
-    series = np.abs(s) < _SERIES_CUTOFF
-    s_root = np.where(series, 1.0, s)
-    a = np.sqrt(1.0 + 4.0 * s_root)
-    roots = np.stack([(-1.0 + a) / (2.0 * s_root), (-1.0 - a) / (2.0 * s_root)])
-    e0, e1 = _linear_costs(rho, r, roots, 1.0, 0.0, 0.0)[1]
-    tie = np.where(np.abs(roots[0]) <= np.abs(roots[1]), roots[0], roots[1])
-    pick = np.where(e0 < e1, roots[0], np.where(e1 < e0, roots[1], tie))
-    return np.where(series, 1.0 - s + 2.0 * s * s, pick)
+    s = r + rho
+    series = abs(s) < _SERIES_CUTOFF
+    s_root = _select(series, 1.0, s)
+    a = (np.sqrt if isinstance(s_root, np.ndarray) else sqrt)(1.0 + 4.0 * s_root)
+    root0, root1 = (-1.0 + a) / (2.0 * s_root), (-1.0 - a) / (2.0 * s_root)
+    e0, e1 = (_linear_costs(rho, r, root, 1.0, 0.0, 0.0)[1] for root in (root0, root1))
+    tie = _select(abs(root0) <= abs(root1), root0, root1)
+    pick = _select(e0 < e1, root0, _select(e1 < e0, root1, tie))
+    return _select(series, 1.0 - s + 2.0 * s * s, pick)
 
 
 def solve_noiseless(model: SourcePairModel) -> EquilibriumReport:

@@ -138,7 +138,7 @@ def validate_model(model: Model) -> ValidationReport:
         return ValidationReport(False, (f"unsupported model type {type(model).__name__}",))
 
     for name, value in fields.items():
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             violations.append(f"{name}: must be finite")
     if violations:
         return ValidationReport(False, tuple(violations))
@@ -151,16 +151,20 @@ def validate_model(model: Model) -> ValidationReport:
         if model.r - model.rho**2 <= tol:
             violations.append("r: r must exceed rho^2")
     else:
-        m = model.covariance() / model.sigma_x2
-        tol = PSD_RTOL * np.trace(m)
-        minor2 = model.r_theta - model.rho_x_theta**2
-        if minor2 <= tol:
+        tol = PSD_RTOL * (1.0 + model.r_theta + model.r_w)  # trace of the normalized covariance
+        if model.r_theta - model.rho_x_theta**2 <= tol:
             violations.append("r_theta: r_theta must exceed rho_x_theta^2 (leading principal minor 2)")
-        det = float(np.linalg.det(m))
+        det = _si_det(model)
         if det <= tol:
             violations.append(f"covariance: leading principal minor 3 not positive (det = {det:.6g})")
 
     return ValidationReport(not violations, tuple(violations))
+
+
+def _si_det(m: SideInfoModel) -> float:
+    """Determinant of the normalized covariance of (X, theta, W), by cofactors of its first row."""
+    a, b, c = m.rho_x_theta, m.rho_x_w, m.rho_theta_w
+    return (m.r_theta * m.r_w - c * c) - a * (a * m.r_w - b * c) + b * (a * c - b * m.r_theta)
 
 
 def require_valid(model: Model) -> None:

@@ -59,14 +59,17 @@ def _noise_per_signal(rate):
 
     As 2^(-2R) / |expm1(-2R ln 2)| it neither overflows at high rates nor
     cancels at tiny ones; below about 4e-309 bits it leaves the float range.
-    Elementwise over nonnegative rates; rate 0 gives +inf (nothing is sent).
+    Elementwise over nonnegative rates, a float or an array; rate 0 gives +inf.
     """
-    rate = np.asarray(rate, float)
     x = -2.0 * _LN2 * rate
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = np.exp(x) / np.abs(np.expm1(x))
-    tiny = rate[np.isinf(ratio) & (x < 0.0)]
-    if tiny.size:
+    if isinstance(x, np.ndarray):
+        with np.errstate(divide="ignore", over="ignore"):
+            ratio = np.exp(x) / np.abs(np.expm1(x))
+        tiny = rate[np.isinf(ratio) & (x < 0.0)]
+    else:  # numpy's exp, not math's, to match an array's bits; float 1/0 raises
+        ratio = float(np.exp(x)) / abs(float(np.expm1(x))) if x else math.inf
+        tiny = [rate] if math.isinf(ratio) and x < 0.0 else []
+    if len(tiny):
         raise OverflowError(f"rate {float(tiny[0])!r} is too small for a finite test-channel noise")
     return ratio
 
@@ -100,7 +103,11 @@ def rd_point(model: SourcePairModel, rate: float) -> RdPoint:
     Rate 0 returns the no-information point exactly.  For positive rates
     the costs are the closed-form best response to the test channel.
     """
-    return rd_sweep(model, [rate])[0]
+    beta, rate = best_alpha(model), float(rate)
+    if not rate >= 0.0:
+        raise ZeroRate(f"rate must be nonnegative, got {rate!r}")
+    d_e, d_d, sigma_s2 = _test_channel_costs(model, beta, rate)
+    return RdPoint(rate=rate, costs=CostPair(d_e=d_e, d_d=d_d), beta=beta, sigma_s2=sigma_s2)
 
 
 def rd_sweep(model: SourcePairModel, rates: np.ndarray) -> list[RdPoint]:
@@ -110,13 +117,17 @@ def rd_sweep(model: SourcePairModel, rates: np.ndarray) -> list[RdPoint]:
     bad = rates[~(rates >= 0.0)]
     if bad.size:
         raise ZeroRate(f"rate must be nonnegative, got {float(bad[0])!r}")
-    s2, b = model.sigma_x2, _signal_ratio(model.rho, model.r, beta)
-    t = b * _noise_per_signal(rates)
-    _, d_e, d_d = _linear_costs(model.rho, model.r, beta, 1.0, t, 0.0)
     return [
         RdPoint(rate=float(q), costs=CostPair(d_e=float(e), d_d=float(d)), beta=beta, sigma_s2=float(v))
-        for q, e, d, v in zip(rates, s2 * d_e, s2 * d_d, s2 * t)
+        for q, e, d, v in zip(rates, *_test_channel_costs(model, beta, rates))
     ]
+
+
+def _test_channel_costs(model: SourcePairModel, beta: float, rates):
+    """(d_e, d_d, sigma_s2) of the test channel with weight beta, per rate (a float or an array)."""
+    t = _signal_ratio(model.rho, model.r, beta) * _noise_per_signal(rates)
+    _, d_e, d_d = _linear_costs(model.rho, model.r, beta, 1.0, t, 0.0)
+    return model.sigma_x2 * d_e, model.sigma_x2 * d_d, model.sigma_x2 * t
 
 
 def rd_sweep_csv(model: SourcePairModel, rates: np.ndarray, path: str) -> None:

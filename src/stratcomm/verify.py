@@ -156,8 +156,8 @@ def _no_profitable_deviation(rng):
 
 @_check("kernel_matches_propagation")
 def _kernel_matches_propagation(rng):
-    # Each solver route of the closed-form kernel against covariance
-    # propagation: noiseless, channel noise, test-channel noise, 1e-300 bits.
+    # Each solver route of the closed-form kernel against covariance propagation:
+    # noiseless, channel noise, test-channel noise (rd_sweep and rd_point), 1e-300 bits.
     worst = 0.0
     for _ in range(20):
         rate, ch = float(rng.uniform(0.2, 4.0)), _random_channel(rng)
@@ -172,6 +172,7 @@ def _kernel_matches_propagation(rng):
             (si, noisy_si[0], ch.noise_var, noisy_si[1]),
         ]
         points = [(pair, p) for p in rd_sweep(pair, [rate, 1e-300])]
+        points += [(pair, rd_point(pair, q)) for q in (rate, 1e-300)]
         points += [(si, si_rd_point(si, q)) for q in (rate, 1e-300)]
         for m, p in points:  # a rate point reports no decoder
             routes.append((m, LinearScheme(enc_theta_weight=p.beta, enc_noise_var=p.sigma_s2), 0.0, p.costs))
@@ -183,7 +184,7 @@ def _kernel_matches_propagation(rng):
                 weights = np.array([scheme.dec_y_weight, scheme.dec_w_weight])
                 truth = np.array([solved.dec_y_weight, solved.dec_w_weight])
                 worst = max(worst, float(np.linalg.norm(weights - truth) / np.linalg.norm(truth)))
-    return worst, 1e-12, "<=", "costs per sigma_x2 and relative decoder weights on 160 routes"
+    return worst, 1e-12, "<=", "costs per sigma_x2 and relative decoder weights on 200 routes"
 
 
 # ---------------------------------------------------------------------------

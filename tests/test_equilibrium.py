@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from stratcomm.equilibrium import (
+    _linear_costs,
+    _stationary_weight,
     a_aux,
     analytic_costs,
     best_alpha,
@@ -140,3 +142,49 @@ def test_corollary_limits_guard_paths():
 
 def test_a_aux_value(golden_model):
     assert a_aux(golden_model) == pytest.approx(SQRT5, abs=1e-15)
+
+
+def _kernel_inputs(n: int = 12000, seed: int = 2024):
+    """Seeded (rho, r, alpha, gain2, t, n) arrays over checked pairs and their seams.
+
+    A third of the pairs sit in the series band |r + rho| < 1e-6 (the band's
+    edges and r + rho = 0 included); some gains are 0, and some encoder
+    noises are 0 or +inf.
+    """
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(-0.95, 0.95, n)
+    r = rho * rho + rng.uniform(1e-9, 3.0, n)
+    band = np.arange(n) % 3 == 0
+    rho[band] = rng.uniform(-0.9, -0.05, band.sum())
+    s = rng.uniform(-1.2e-6, 1.2e-6, band.sum())
+    s[:5] = (0.0, 1e-6, -1e-6, np.nextafter(1e-6, 0.0), np.nextafter(-1e-6, 0.0))
+    r[band] = s - rho[band]
+    alpha = rng.uniform(-3.0, 3.0, n)
+    alpha[::4] = _stationary_weight(rho[::4], r[::4])
+    gain2 = rng.uniform(0.0, 3.0, n)
+    gain2[::7] = 0.0
+    t = rng.uniform(0.0, 2.0, n)
+    t[::5], t[1::5] = np.inf, 0.0
+    noise = rng.uniform(0.0, 2.0, n)
+    noise[::3] = 0.0
+    return rho, r, alpha, gain2, t, noise
+
+
+def test_float_and_array_routes_agree_bit_for_bit():
+    rho, r, alpha, gain2, t, noise = inputs = _kernel_inputs()
+    assert (np.abs(r + rho) < 1e-6).sum() > 3000 and np.all(r > rho * rho)
+    weights = _stationary_weight(rho, r)
+    costs = _linear_costs(*inputs)
+    assert isinstance(weights, np.ndarray) and all(isinstance(c, np.ndarray) for c in costs)
+    scalar_weights, scalar_costs = np.empty_like(weights), np.empty((3, rho.size))
+    for i, row in enumerate(zip(*(a.tolist() for a in inputs))):
+        # every seventh row goes in as numpy scalars, the rest as Python floats
+        args = tuple(np.float64(v) for v in row) if i % 7 == 3 else row
+        w, out = _stationary_weight(*args[:2]), _linear_costs(*args)
+        for value in (w, *out):
+            assert isinstance(value, float) and not isinstance(value, np.ndarray)
+            if args is row:
+                assert type(value) is float
+        scalar_weights[i], scalar_costs[:, i] = w, out
+    assert np.array_equal(scalar_weights.view(np.int64), weights.view(np.int64))
+    assert np.array_equal(scalar_costs.view(np.int64), np.array(costs).view(np.int64))

@@ -12,6 +12,7 @@ from stratcomm.gausslin import (
     LinearScheme,
     SideInfoModel,
     SourcePairModel,
+    _si_det,
     best_decoder,
     cross_moment,
     mmse_linear,
@@ -61,6 +62,30 @@ def test_validate_side_info_minors():
     assert any("minor 3" in v for v in report.violations)
     with pytest.raises(InvalidModel):
         require_valid(bad)
+
+
+def test_side_info_minors_match_a_dense_determinant():
+    # unit-scale normalized covariances: diag(1, r_theta, r_w) around a random correlation
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        a = rng.normal(size=(3, 3))
+        c = a @ a.T + 0.05 * np.eye(3)
+        sd = np.sqrt([1.0, rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)] / np.diag(c))
+        c = c * sd[:, None] * sd[None, :]
+        m = SideInfoModel(float(rng.uniform(0.25, 4.0)), c[0, 1], c[1, 1], c[0, 2], c[1, 2], c[2, 2])
+        assert validate_model(m).ok
+        assert abs(_si_det(m) - np.linalg.det(m.covariance() / m.sigma_x2)) <= 1e-14
+
+
+@pytest.mark.parametrize("excess, ok", [(0.0, False), (1e-12, False), (2e-12, False), (1e-11, True)])
+def test_side_info_determinant_at_the_tolerance(excess, ok):
+    # W = X + noise of variance `excess`: the determinant is `excess`, and a
+    # model at or below PSD_RTOL * trace (about 3e-12) is rejected
+    m = SideInfoModel(1.0, 0.0, 1.0, 1.0, 0.0, 1.0 + excess)
+    assert _si_det(m) == pytest.approx(excess, abs=1e-15)
+    report = validate_model(m)
+    assert report.ok == ok
+    assert ok or any("minor 3" in v for v in report.violations)
 
 
 def test_mmse_matches_lstsq_oracle():

@@ -128,6 +128,23 @@ def test_nan_rate_is_rejected(si_correlated):
         beta_of_rate(si_correlated, math.nan)
     with pytest.raises(ZeroRate):
         si_rd_point(si_correlated, math.nan)
+    with pytest.raises(OverflowError):  # below the float range of the test-channel noise
+        si_rd_point(si_correlated, 1e-320)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-300, 1e-12, 0.5, 30.0])
+def test_rate_points_are_floats_that_match_the_oracle(rate):
+    for m in _seeded_si_models(8):
+        point = si_rd_point(m, rate)
+        fields = (point.rate, point.beta, point.sigma_s2, point.costs.d_e, point.costs.d_d)
+        assert all(type(v) is float for v in fields)
+        if rate == 0.0:
+            assert point.beta == 0.0 and math.isinf(point.sigma_s2)
+            continue
+        scheme = LinearScheme(enc_theta_weight=point.beta, enc_noise_var=point.sigma_s2)
+        oracle = best_decoder(m, scheme, 0.0)[1]
+        assert abs(point.costs.d_e - oracle.d_e) <= 1e-12 * m.sigma_x2
+        assert abs(point.costs.d_d - oracle.d_d) <= 1e-12 * m.sigma_x2
 
 
 def test_costs_decrease_with_rate(si_correlated):
