@@ -147,9 +147,9 @@ def test_a_aux_value(golden_model):
 def _kernel_inputs(n: int = 12000, seed: int = 2024):
     """Seeded (rho, r, alpha, gain2, t, n) arrays over checked pairs and their seams.
 
-    A third of the pairs sit in the series band |r + rho| < 1e-6 (the band's
-    edges and r + rho = 0 included); some gains are 0, and some encoder
-    noises are 0 or +inf.
+    About a third of the pairs sit in or next to the series band
+    |r + rho| < 1e-6 (its edges and r + rho = 0 included); some gains are 0,
+    and some encoder noises are 0 or +inf.
     """
     rng = np.random.default_rng(seed)
     rho = rng.uniform(-0.95, 0.95, n)
@@ -181,10 +181,8 @@ def test_float_and_array_routes_agree_bit_for_bit():
         # every seventh row goes in as numpy scalars, the rest as Python floats
         args = tuple(np.float64(v) for v in row) if i % 7 == 3 else row
         w, out = _stationary_weight(*args[:2]), _linear_costs(*args)
-        for value in (w, *out):
-            assert isinstance(value, float) and not isinstance(value, np.ndarray)
-            if args is row:
-                assert type(value) is float
+        for value in (w, *out):  # numpy scalars in may give np.float64, never an array
+            assert type(value) is float if args is row else isinstance(value, float)
         scalar_weights[i], scalar_costs[:, i] = w, out
     assert np.array_equal(scalar_weights.view(np.int64), weights.view(np.int64))
     assert np.array_equal(scalar_costs.view(np.int64), np.array(costs).view(np.int64))

@@ -128,7 +128,10 @@ def test_nan_rate_is_rejected(si_correlated):
         beta_of_rate(si_correlated, math.nan)
     with pytest.raises(ZeroRate):
         si_rd_point(si_correlated, math.nan)
-    with pytest.raises(OverflowError):  # below the float range of the test-channel noise
+
+
+def test_rates_below_the_float_range_overflow(si_correlated):
+    with pytest.raises(OverflowError):
         si_rd_point(si_correlated, 1e-320)
 
 
