@@ -73,7 +73,7 @@ _TOP_FIELDS = frozenset({"schema", "kind", "model", "channel", "rate", "objectiv
 _PAIR_FIELDS = frozenset({"sigma_x2", "rho", "r"})
 _SI_FIELDS = frozenset({"sigma_x2", "rho_x_theta", "r_theta", "rho_x_w", "rho_theta_w", "r_w"})
 _CHANNEL_FIELDS = frozenset({"power", "noise_var"})
-_SIM_FIELDS = frozenset({"seed", "n", "chunk", "bins"})
+_SIM_FIELDS = frozenset({"seed", "n", "chunk"})
 _OBJECTIVE_FIELDS = frozenset({"encoder", "decoder"})
 
 
@@ -191,10 +191,7 @@ def _parse_sim(raw: dict) -> simkit.SimConfig:
     chunk = _integer(mapping, "chunk", "sim", default=2**16)
     if chunk < 1:
         raise SchemaError("sim.chunk: must be positive")
-    bins = _integer(mapping, "bins", "sim", default=64)
-    if bins < 2:
-        raise SchemaError("sim.bins: need at least two bins")
-    return simkit.SimConfig(seed=seed, n=n, chunk=chunk, bins=bins)
+    return simkit.SimConfig(seed=seed, n=n, chunk=chunk)
 
 
 def parse_scenario(raw: dict, rate_units: str = "bits") -> Scenario:

@@ -28,20 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
-from .equilibrium import _stationary_weight
+from .equilibrium import _linear_costs, _signal_ratio, _stationary_weight
 from .errors import CrossTermPresent, NonCanonicalizable, Unbounded
-from .gausslin import (
-    PSD_RTOL,
-    LinearScheme,
-    SourcePairModel,
-    best_decoder,
-    cross_moment,
-    require_valid,
-)
+from .gausslin import PSD_RTOL, LinearScheme, SourcePairModel, require_valid
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
@@ -389,19 +381,15 @@ def solve_canonical(
     if t > 0.0 and t * t + n <= PSD_RTOL:  # a signal the decoder would drop
         t = _noiseless_power(cf.k1)
     _, lam, var = _direction_terms(model, cf, 1.0, alpha)
-    sign = -1.0 if lam > 0.0 else 1.0
-    scheme = LinearScheme(enc_gain=sign * t / math.sqrt(var), enc_theta_weight=alpha)
-    solved, _ = best_decoder(model, scheme, channel_noise_var=noise_var)
-
-    moment = partial(cross_moment, model, solved, noise_var)
-    err_e = {"x": 1.0, "theta": k, "xhat": -1.0}
-    err_d = {"x": 1.0, "xhat": -1.0}
-    u = {"u": 1.0}
-    j_e = (
-        moment(err_e, err_e) + cf.k1 * moment(u, u)
-        + cf.k2 * moment(u, {"x": 1.0}) + cf.k3 * moment(u, {"theta": 1.0})
-    )
-    return solved, float(j_e), float(moment(err_d, err_d))
+    c = (-1.0 if lam > 0.0 else 1.0) * t / math.sqrt(var)
+    # The kernel's kappa is c times the decoder weight; the tracking error
+    # E[(X + k*theta - Xhat)^2] is Var(X + k*theta) - kappa*Cov(X + 2k*theta, S).
+    kappa, _, d_d = _linear_costs(rho, r, alpha, c * c, 0.0, n)
+    p, q = 1.0 + alpha * rho, rho + alpha * r  # Cov(X, S), Cov(theta, S) per sigma_x2
+    track = _signal_ratio(rho, r, k) - kappa * (p + 2.0 * k * q)
+    j_e = track + cf.k1 * c * c * var + c * (cf.k2 * p + cf.k3 * q)
+    scheme = LinearScheme(enc_gain=c, enc_theta_weight=alpha, dec_y_weight=kappa / c if c else 0.0)
+    return scheme, float(s2 * j_e), float(s2 * d_d)
 
 
 def solve_objectives(
@@ -418,7 +406,7 @@ def solve_objectives(
     """
     cf = canonicalize(phi_e, phi_d)
     scheme, j_e, j_d = solve_canonical(model, cf, noise_var)
-    u2 = cross_moment(model, scheme, noise_var, {"u": 1.0}, {"u": 1.0})
+    u2 = model.sigma_x2 * scheme.enc_gain**2 * _signal_ratio(model.rho, model.r, scheme.enc_theta_weight)
     raw_e = phi_e.xhat2 * j_e + phi_e.const
     raw_d = phi_d.xhat2 * j_d + phi_d.u2 * u2 + phi_d.const
     return cf, scheme, float(raw_e), float(raw_d)

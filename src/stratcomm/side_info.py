@@ -17,8 +17,9 @@ package:
   weight at every rate (the noise variance carries all of the rate
   dependence);
 * over a noisy channel, uncoded linear transmission is exactly optimal iff
-  the source-to-W geometry satisfies a single scalar matching condition,
-  found here by bisection on a closed-form residual.
+  the source-to-W geometry satisfies a single scalar matching condition:
+  W is uncorrelated with the plain game's equilibrium signal, which gives
+  the matched rho_x_w in closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._csvio import write_rows
-from .equilibrium import _linear_costs, _signal_ratio, _stationary_weight
+from .equilibrium import _linear_costs, _signal_ratio, _stationary_weight, best_alpha
 from .errors import InfeasibleInterval, NoRoot, ZeroRate
 from .gausslin import (
     CostPair,
@@ -39,6 +40,7 @@ from .gausslin import (
     _require_finite,
     best_decoder,
     require_valid,
+    validate_model,
 )
 from .noisy_channel import ChannelSpec, capacity, validate_channel
 from .strategic_rd import _noise_per_signal
@@ -310,49 +312,26 @@ def feasible_rho_xw_interval(m: SideInfoModel) -> tuple[float, float]:
     return lo, hi
 
 
-def find_matched_rho_xw(m: SideInfoModel, ch: ChannelSpec, f_tol: float = 1e-8) -> float:
-    """Solve the matching condition for rho_x_w by bisection.
+def find_matched_rho_xw(m: SideInfoModel, ch: ChannelSpec) -> float:
+    """Solve the matching condition for rho_x_w in closed form.
 
-    Treats rho_x_w as free (the given model supplies every other entry) and
-    finds the fixed point rho = -rho_theta_w * beta(rho).  The weight beta
-    is the same at every rate, so the channel is validated but does not
-    move the root.  Raises :class:`NoRoot` when the residual does not
-    change sign across the feasible interval.
+    Treats rho_x_w as free (the given model supplies every other entry).  The
+    matched point is rho_x_w = -rho_theta_w * alpha*, with alpha* the plain
+    game's weight on (rho_x_theta, r_theta): there W is uncorrelated with the
+    plain equilibrium signal X + alpha*theta, which is then the conditional
+    game's equilibrium signal too, and no other rho_x_w is matched
+    (``docs/derivation_notes.md`` §6).  The weight is the same at every rate,
+    so the channel is validated but does not move the root.  Raises
+    :class:`NoRoot` when the root leaves the model invalid.
     """
     validate_channel(ch)
     if m.rho_theta_w == 0.0:
         return 0.0
     lo, hi = feasible_rho_xw_interval(m)
-    pad = 1e-9 * max(hi - lo, 1.0)
-    lo, hi = lo + pad, hi - pad
-    if not lo < hi:
-        raise InfeasibleInterval("feasible rho_x_w interval is empty after shrinking")
-
-    def residual(rho: float) -> float:
-        return rho + m.rho_theta_w * _si_weight(replace(m, rho_x_w=rho))
-
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+    root = -m.rho_theta_w * best_alpha(m.pair_part())
+    if not validate_model(replace(m, rho_x_w=root)).ok:  # also false outside (lo, hi)
         raise NoRoot(
-            f"matching residual has the same sign at both ends of "
-            f"[{lo:.6g}, {hi:.6g}] ({f_lo:.3g}, {f_hi:.3g})"
+            f"matched rho_x_w = {root:.6g} leaves the model invalid "
+            f"(feasible interval ({lo:.6g}, {hi:.6g}))"
         )
-    mid, f_mid = lo, f_lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if abs(f_mid) <= f_tol:
-            return mid
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        if hi - lo < 1e-14:
-            break
-    if abs(f_mid) <= f_tol:
-        return mid
-    raise NoRoot(f"bisection stalled with residual {f_mid:.3g} > {f_tol:.3g}")
+    return root

@@ -102,6 +102,10 @@ def test_sim_block_reports_z_scores(write_scenario, capsys):
         ({"schema": 1, "kind": "osmosis", "model": {}}, "kind"),
         ({"schema": 1, "kind": "rd", "model": {"rho": 0.0, "r": 1.0}}, "rate"),
         ({"schema": 1, "kind": "rd", "model": {"rho": 0.0, "r": 1.0}, "rate": -1.0}, "rate"),
+        (
+            {"schema": 1, "kind": "noiseless", "model": {"rho": 0.0, "r": 1.0}, "sim": {"seed": 4, "n": 10, "bins": 64}},
+            "bins",
+        ),
     ],
 )
 def test_schema_violations_exit_one(write_scenario, capsys, payload, needle):

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import stratcomm.equilibrium as equilibrium
 from stratcomm.equilibrium import (
     _linear_costs,
     _stationary_weight,
@@ -77,6 +78,19 @@ def test_series_regime_matches_algebra_oracle():
     for s, alpha_expected in SERIES_REGIME:
         model = SourcePairModel(sigma_x2=1.0, rho=-0.49, r=0.49 + s)
         assert best_alpha(model) == pytest.approx(alpha_expected, abs=1e-9)
+
+
+def test_a_cost_tie_goes_to_the_smaller_weight(monkeypatch):
+    # no model ties, so the kernel is replaced by one that scores both roots alike
+    def tied(rho, r, alpha, *_):
+        return 0.0 * alpha, 0.0 * alpha, 0.0 * alpha
+
+    monkeypatch.setattr(equilibrium, "_linear_costs", tied)
+    rho, r = np.array([0.0, 0.3, -0.5, -0.9]), np.array([1.0, 1.5, 0.3, 2.0])
+    want = np.array([min(np.roots([b + a, 1.0, -1.0]), key=abs) for a, b in zip(rho, r)])
+    assert _stationary_weight(rho, r) == pytest.approx(want, rel=1e-12)
+    floats = [_stationary_weight(a, b) for a, b in zip(rho.tolist(), r.tolist())]
+    assert floats == pytest.approx(want, rel=1e-12)
 
 
 def test_weight_can_exceed_one_for_negative_rho():

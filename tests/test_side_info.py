@@ -29,8 +29,8 @@ from stratcomm.side_info import (
     transmitter_si_invariance,
 )
 
-# Same sign of the matching residual across the whole feasible interval,
-# so no matched geometry exists (found by scripted search, then verified).
+# The closed-form root lies outside the feasible interval, and the matching
+# residual keeps one sign across it: no matched geometry exists.
 NO_ROOT_MODEL = SideInfoModel(1.0, 0.6, 0.5, 0.0, -0.45, 1.0)
 NO_ROOT_CHANNEL = ChannelSpec(power=0.5, noise_var=1.0)
 
@@ -250,8 +250,52 @@ def test_matching_trivial_when_theta_w_uncorrelated(si_uncorrelated):
 
 
 def test_no_root_raises():
-    with pytest.raises(NoRoot):
+    with pytest.raises(NoRoot, match="feasible interval"):
         find_matched_rho_xw(NO_ROOT_MODEL, NO_ROOT_CHANNEL)
+
+
+def _matching_residual(m: SideInfoModel, rho: float) -> float:
+    return rho + m.rho_theta_w * si_mod._si_weight(replace(m, rho_x_w=rho))
+
+
+def _bisect_matched_rho_xw(m: SideInfoModel, f_tol: float = 1e-8) -> float | None:
+    """Second route: bisection on the matching residual; None where it finds no root."""
+    lo, hi = feasible_rho_xw_interval(m)
+    pad = 1e-9 * max(hi - lo, 1.0)
+    lo, hi = lo + pad, hi - pad
+    f_lo, f_hi = _matching_residual(m, lo), _matching_residual(m, hi)
+    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = _matching_residual(m, mid)
+        if abs(f_mid) <= f_tol:
+            return mid
+        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14:
+            break
+    return None
+
+
+def test_closed_form_root_matches_bisection():
+    # rho_x_w* = -rho_theta_w * alpha*(rho_x_theta, r_theta) against a bisection
+    # on the residual: the same models have a root, and the roots agree
+    found = 0
+    for m in _seeded_si_models(2000):
+        reference = _bisect_matched_rho_xw(m)
+        if reference is None:
+            with pytest.raises(NoRoot):
+                find_matched_rho_xw(m, NO_ROOT_CHANNEL)
+            continue
+        root = find_matched_rho_xw(m, NO_ROOT_CHANNEL)
+        assert root == -m.rho_theta_w * best_alpha(m.pair_part())
+        assert abs(root - reference) <= 1e-8
+        assert abs(_matching_residual(m, root)) <= 1e-12
+        found += 1
+    assert 1000 < found < 2000
 
 
 def test_feasible_interval_brackets_positive_definiteness():
