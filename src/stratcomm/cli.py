@@ -47,6 +47,7 @@ from .gausslin import (
     LinearScheme,
     SideInfoModel,
     SourcePairModel,
+    _require_finite,
     best_decoder,
     validate_model,
 )
@@ -467,6 +468,7 @@ def panel_rows(
     Grid points with an invalid model are kept, flagged valid = 0, and not
     evaluated.
     """
+    _require_finite(**{name: v for name, v in (("lo", lo), ("hi", hi)) if v is not None})
     if panel in ("fig3a", "fig3b"):
         if panel == "fig3a":
             grid = np.linspace(lo if lo is not None else 0.05, hi if hi is not None else 10.0, points or 200)

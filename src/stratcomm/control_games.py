@@ -345,7 +345,7 @@ def solve_canonical(
     J_k(alpha)*v/(v + N) + k1*v - |lambda(alpha)*c|: J_k is the alignment
     value of the model with theta scaled to k*theta, lambda the U*X /
     U*theta penalty per unit gain (``docs/derivation_notes.md`` §8).  With
-    k2 = k3 = 0, alpha = k*best_alpha(sigma_x2, k*rho, k^2*r) (0 at k = 0)
+    k2 = k3 = 0, alpha = k*best_alpha(sigma_x2, k*rho, k^2*r)
     and v = max(0, sqrt(J_k*N/k1) - N), zero exactly when J_k <= k1*N;
     otherwise one scan over the encoder direction takes each direction's
     best v from its stationarity equation.  The gain's sign makes the
@@ -370,7 +370,7 @@ def solve_canonical(
 
     s2, rho, r, k, n = model.sigma_x2, model.rho, model.r, cf.theta_weight, noise_var / model.sigma_x2
     if cf.k2 == 0.0 and cf.k3 == 0.0:
-        alpha = 0.0 if k == 0.0 else k * float(_stationary_weight(k * rho, k * k * r))
+        alpha = k * float(_stationary_weight(k * rho, k * k * r))
         j = _direction_terms(model, cf, 1.0, alpha)[0]  # positive at the best weight
         if n > 0.0:  # v = sqrt(j*n/k1) - n, written so that it cannot overflow
             t = math.sqrt(max(0.0, math.sqrt(n) * (math.sqrt(j / cf.k1) - math.sqrt(n))))

@@ -4,10 +4,9 @@ The transmitter commits to a disclosure rule before the receiver moves, the
 receiver best-responds with the conditional mean, and both costs are
 quadratic.  Within linear rules Y = X + alpha*theta + T the transmitter's
 problem reduces to maximizing a single rational function of alpha (the
-alignment term E{(2*theta + X) * Xhat}); its stationary points are the two
-roots of a quadratic, and the equilibrium picks the root with the larger
-objective.  Injecting encoder noise (T) only hurts, so the equilibrium is
-deterministic and linear.
+alignment term E{(2*theta + X) * Xhat}); its unique maximizer is the closed
+form alpha* = 2/(1 + sqrt(1 + 4*(r + rho))).  Injecting encoder noise (T)
+only hurts, so the equilibrium is deterministic and linear.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ import numpy as np
 
 from .errors import DegenerateDenominator
 from .gausslin import PSD_RTOL, CostPair, SourcePairModel, _require_finite, require_valid
-
-# Below this |r + rho| the closed-form root is evaluated by series to avoid
-# 0/0 cancellation.
-_SERIES_CUTOFF = 1e-6
 
 
 @dataclass(frozen=True)
@@ -104,13 +99,12 @@ def a_aux(model: SourcePairModel) -> float:
 
 
 def best_alpha(model: SourcePairModel) -> float:
-    """Equilibrium disclosure weight.
+    """Equilibrium disclosure weight 2/(1 + sqrt(1 + 4*(r + rho))).
 
-    The stationarity condition has two roots (-1 +- sqrt(1+4*(r+rho))) /
-    (2*(r+rho)); the winner is decided by explicit comparison of the
-    objective, with ties broken toward the smaller |alpha|.  Near
-    r + rho = 0 the quotient degenerates and the series
-    1 - (r+rho) + 2*(r+rho)^2 is used instead.
+    It is the root (-1 + sqrt(1 + 4*(r + rho)))/(2*(r + rho)) of the
+    stationarity quadratic with the cancellation rationalized away, and
+    the alignment value's strict global maximum
+    (``docs/derivation_notes.md`` §3).
     """
     require_valid(model)
     return float(_stationary_weight(model.rho, model.r))
@@ -119,21 +113,12 @@ def best_alpha(model: SourcePairModel) -> float:
 def _stationary_weight(rho, r):
     """:func:`best_alpha` for pairs the caller has checked, elementwise.
 
-    Side information conditions a validated model down to a pair that is
-    positive definite but may sit inside the pair validation tolerance.  A
-    root at which X + root*theta has no variance sends nothing, so the
-    kernel scores it at the no-information cost.  Floats or arrays, as in
+    1 + 4*(r + rho) = Var(X + 2*theta)/sigma_x2 is positive on every pair,
+    so the formula holds without a branch.  Floats or arrays, as in
     :func:`_linear_costs` (math.sqrt and np.sqrt both round correctly).
     """
-    s = r + rho
-    series = abs(s) < _SERIES_CUTOFF
-    s_root = _select(series, 1.0, s)
-    a = (np.sqrt if isinstance(s_root, np.ndarray) else sqrt)(1.0 + 4.0 * s_root)
-    root0, root1 = (-1.0 + a) / (2.0 * s_root), (-1.0 - a) / (2.0 * s_root)
-    e0, e1 = (_linear_costs(rho, r, root, 1.0, 0.0, 0.0)[1] for root in (root0, root1))
-    tie = _select(abs(root0) <= abs(root1), root0, root1)
-    pick = _select(e0 < e1, root0, _select(e1 < e0, root1, tie))
-    return _select(series, 1.0 - s + 2.0 * s * s, pick)
+    q = 1.0 + 4.0 * (r + rho)
+    return 2.0 / (1.0 + (np.sqrt if isinstance(q, np.ndarray) else sqrt)(q))
 
 
 def solve_noiseless(model: SourcePairModel) -> EquilibriumReport:

@@ -250,6 +250,9 @@ def match_condition(m: SideInfoModel, ch: ChannelSpec, tol: float = 1e-6) -> Mat
     achieved minus bound encoder cost, which is nonnegative always and
     zero exactly at matched geometries.
     """
+    _require_finite(tol=tol)
+    if tol < 0.0:
+        raise ValueError("tol: must be nonnegative")
     scheme, lin_costs = solve_noisy_si_linear(m, ch)
     rate, beta = capacity(ch), scheme.enc_theta_weight
     residual = abs(m.rho_x_w + m.rho_theta_w * beta)

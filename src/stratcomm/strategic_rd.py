@@ -26,17 +26,19 @@ from scipy.special import ndtr, ndtri
 from ._csvio import write_rows
 from .equilibrium import _linear_costs, _signal_ratio, best_alpha
 from .errors import InvalidDistribution, ZeroRate
-from .gausslin import CostPair, SourcePairModel, require_valid
+from .gausslin import CostPair, SourcePairModel, _require_finite, require_valid
 from . import simkit
 
 _LN2 = math.log(2.0)
 
 
 def bits_to_nats(rate_bits: float) -> float:
+    _require_finite(rate_bits=rate_bits)
     return rate_bits * _LN2
 
 
 def nats_to_bits(rate_nats: float) -> float:
+    _require_finite(rate_nats=rate_nats)
     return rate_nats / _LN2
 
 

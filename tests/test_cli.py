@@ -384,6 +384,18 @@ def test_sweep_rejects_bad_grid(tmp_path, capsys):
     assert "points" in capsys.readouterr().err
 
 
+def test_panel_rows_rejects_non_finite_bounds(tmp_path, capsys):
+    for panel in ("fig3a", "fig3b", "fig3c"):
+        for field in ("lo", "hi"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{field}: must be finite"):
+                    cli.panel_rows(panel, **{field: value})
+    # through the CLI it is a validation error: exit 1, naming the field
+    code = _run(["sweep", "--panel", "fig3c", "--out", str(tmp_path / "x.csv"), "--lo", "nan"])
+    assert code == 1
+    assert "lo: must be finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

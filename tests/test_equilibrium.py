@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-import stratcomm.equilibrium as equilibrium
 from stratcomm.equilibrium import (
     _linear_costs,
     _stationary_weight,
@@ -29,10 +28,13 @@ SQRT5 = math.sqrt(5.0)
 # explicit objective comparison (computer algebra, not this package).
 ALPHA_RHO_NEG_HALF_R_03 = 1.3819660112501051
 SERIES_REGIME = (
-    # (r + rho, alpha) at rho = -0.49, r = 0.49 + s
+    # (r + rho, alpha) at rho = -0.49, r = 0.49 + s; alpha evaluated to 50
+    # digits with `decimal` from the stored floats r and rho
     (1e-7, 0.9999999000000200),
     (1e-5, 0.9999900001999950),
     (2e-4, 0.9998000799600224),
+    (-1e-5, 1.0000100002000050),
+    (-2e-4, 1.0002000800400224),
 )
 # d_e at rho = 0.5, r = 1 is exactly 2 - sqrt(7)/2.
 D_E_RHO_HALF = 0.6771243444677047
@@ -72,25 +74,15 @@ def test_best_alpha_is_stationary_and_globally_best(random_models):
         grid = np.linspace(-8.0, 8.0, 4001)
         values = [objective_j(model, a) for a in grid]
         assert objective_j(model, alpha) >= max(values) - 1e-9
+        # the maximum over unit whitened signals, (|g||h| + g.h)/2 (derivation note 3)
+        peak = model.sigma_x2 * (a_aux(model) + 1.0 + 2.0 * model.rho) / 2.0
+        assert objective_j(model, alpha) == pytest.approx(peak, rel=1e-12)
 
 
 def test_series_regime_matches_algebra_oracle():
     for s, alpha_expected in SERIES_REGIME:
         model = SourcePairModel(sigma_x2=1.0, rho=-0.49, r=0.49 + s)
-        assert best_alpha(model) == pytest.approx(alpha_expected, abs=1e-9)
-
-
-def test_a_cost_tie_goes_to_the_smaller_weight(monkeypatch):
-    # no model ties, so the kernel is replaced by one that scores both roots alike
-    def tied(rho, r, alpha, *_):
-        return 0.0 * alpha, 0.0 * alpha, 0.0 * alpha
-
-    monkeypatch.setattr(equilibrium, "_linear_costs", tied)
-    rho, r = np.array([0.0, 0.3, -0.5, -0.9]), np.array([1.0, 1.5, 0.3, 2.0])
-    want = np.array([min(np.roots([b + a, 1.0, -1.0]), key=abs) for a, b in zip(rho, r)])
-    assert _stationary_weight(rho, r) == pytest.approx(want, rel=1e-12)
-    floats = [_stationary_weight(a, b) for a, b in zip(rho.tolist(), r.tolist())]
-    assert floats == pytest.approx(want, rel=1e-12)
+        assert best_alpha(model) == pytest.approx(alpha_expected, abs=1e-15)
 
 
 def test_weight_can_exceed_one_for_negative_rho():
@@ -98,6 +90,8 @@ def test_weight_can_exceed_one_for_negative_rho():
     alpha = best_alpha(model)
     assert alpha == pytest.approx(ALPHA_RHO_NEG_HALF_R_03, abs=1e-12)
     assert alpha > 1.0
+    other = (-1.0 - a_aux(model)) / (2.0 * (model.r + model.rho))  # 3.618, the other root
+    assert objective_j(model, alpha) > objective_j(model, other)
 
 
 def test_weight_stays_below_one_for_nonnegative_rho():
@@ -161,9 +155,9 @@ def test_a_aux_value(golden_model):
 def _kernel_inputs(n: int = 12000, seed: int = 2024):
     """Seeded (rho, r, alpha, gain2, t, n) arrays over checked pairs and their seams.
 
-    About a third of the pairs sit in or next to the series band
-    |r + rho| < 1e-6 (its edges and r + rho = 0 included); some gains are 0,
-    and some encoder noises are 0 or +inf.
+    About a third of the pairs sit within 1.2e-6 of the r + rho = 0 seam (the
+    seam itself and +-1e-6 included); some gains are 0, and some encoder
+    noises are 0 or +inf.
     """
     rng = np.random.default_rng(seed)
     rho = rng.uniform(-0.95, 0.95, n)
@@ -200,3 +194,32 @@ def test_float_and_array_routes_agree_bit_for_bit():
         scalar_weights[i], scalar_costs[:, i] = w, out
     assert np.array_equal(scalar_weights.view(np.int64), weights.view(np.int64))
     assert np.array_equal(scalar_costs.view(np.int64), np.array(costs).view(np.int64))
+
+
+def _two_root_weight(rho, r):
+    """Second route: the stationary root with the lower encoder cost.
+
+    Both roots (-1 +- sqrt(1 + 4s))/(2s), s = r + rho, are scored with the
+    kernel; below |s| < 1e-6 the quotient is 0/0, so the series
+    1 - s + 2s^2 stands in.  Returns the weight, both roots' encoder costs,
+    and the series mask.
+    """
+    s = r + rho
+    series = np.abs(s) < 1e-6
+    s_root = np.where(series, 1.0, s)
+    a = np.sqrt(1.0 + 4.0 * s_root)
+    roots = (-1.0 + a) / (2.0 * s_root), (-1.0 - a) / (2.0 * s_root)
+    e0, e1 = (_linear_costs(rho, r, root, 1.0, 0.0, 0.0)[1] for root in roots)
+    pick = np.where(e1 < e0, roots[1], roots[0])
+    return np.where(series, 1.0 - s + 2.0 * s * s, pick), e0, e1, series
+
+
+def test_closed_form_matches_the_two_root_rule():
+    rho, r = _kernel_inputs()[:2]
+    reference, e0, e1, series = _two_root_weight(rho, r)
+    assert series.sum() > 3000 and np.all(e0[~series] != e1[~series])  # no root ever ties
+    weights = _stationary_weight(rho, r)
+    assert weights == pytest.approx(reference, rel=2e-10, abs=0.0)
+    d_e = _linear_costs(rho, r, weights, 1.0, 0.0, 0.0)[1]
+    d_e_reference = _linear_costs(rho, r, reference, 1.0, 0.0, 0.0)[1]
+    assert np.max(d_e - d_e_reference) <= 1e-13

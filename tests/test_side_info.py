@@ -238,6 +238,13 @@ def test_perturbed_geometry_reopens_the_gap():
         assert report.gap > 1e-9
 
 
+def test_match_condition_rejects_a_bad_tolerance(si_correlated):
+    ch = ChannelSpec(power=1.0, noise_var=1.0)
+    for tol, message in ((math.nan, "finite"), (math.inf, "finite"), (-1e-6, "nonnegative")):
+        with pytest.raises(ValueError, match=f"tol: must be {message}"):
+            match_condition(si_correlated, ch, tol=tol)
+
+
 def test_gap_is_never_negative(si_correlated):
     for p in (0.5, 2.0, 8.0):
         report = match_condition(si_correlated, ChannelSpec(power=p, noise_var=1.0))
@@ -293,7 +300,7 @@ def test_closed_form_root_matches_bisection():
         root = find_matched_rho_xw(m, NO_ROOT_CHANNEL)
         assert root == -m.rho_theta_w * best_alpha(m.pair_part())
         assert abs(root - reference) <= 1e-8
-        assert abs(_matching_residual(m, root)) <= 1e-12
+        assert abs(_matching_residual(m, root)) <= 1e-14
         found += 1
     assert 1000 < found < 2000
 

@@ -143,6 +143,14 @@ def test_rate_unit_conversions():
         assert nats_to_bits(bits_to_nats(value)) == pytest.approx(value, abs=1e-15)
 
 
+def test_rate_unit_conversions_reject_non_finite_rates():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rate_bits: must be finite"):
+            bits_to_nats(value)
+        with pytest.raises(ValueError, match="rate_nats: must be finite"):
+            nats_to_bits(value)
+
+
 # -- finite instances -------------------------------------------------------
 
 
