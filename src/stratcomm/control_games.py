@@ -19,9 +19,8 @@ tracking form and rejects anything else.  Linear monomials and constants are
 dropped: every variable is zero mean, so they contribute nothing to either
 expectation within the model class handled here.
 
-A canonical game reduces to the disclosure game it extends: pure tracking
-is solved in closed form, and U*X / U*theta penalties leave one scan over
-the encoder direction (see :func:`solve_canonical`).
+A canonical game reduces to the disclosure game it extends, and one root
+solve gives its optimum (see :func:`solve_canonical`).
 """
 
 from __future__ import annotations
@@ -31,17 +30,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .equilibrium import _linear_costs, _signal_ratio, _stationary_weight
+from .equilibrium import _linear_costs, _signal_ratio
 from .errors import CrossTermPresent, NonCanonicalizable, Unbounded
 from .gausslin import PSD_RTOL, LinearScheme, SourcePairModel, require_valid
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
-
-# Direction scan: _SCAN_POINTS angles, then _ZOOM_LEVELS re-scans over the
-# two cells around each of the _BASINS lowest local minima, each 8 times
-# finer, down to a spacing below what the objective's rounding resolves.
-_SCAN_POINTS, _BASINS, _ZOOM_POINTS, _ZOOM_LEVELS = 512, 3, 17, 9
 
 # JSON aliases: keys as they appear in objective tables elsewhere.
 _KEY_ALIASES = {
@@ -260,75 +254,70 @@ def classification_report(
     return report
 
 
-def _direction_terms(model: SourcePairModel, cf: CanonicalForm, a, b):
-    """J_k, lambda and Var(S), per sigma_x2, of the encoder direction S = a*X + b*theta:
-    J_k is the alignment value of the model with theta scaled to k*theta,
-    lambda the U*X / U*theta penalty per unit gain.  Broadcasts over a, b."""
-    p = a + b * model.rho  # Cov(X, S) / sigma_x2
-    q = a * model.rho + b * model.r  # Cov(theta, S) / sigma_x2
-    var = a * p + b * q
-    return p * (p + 2.0 * cf.theta_weight * q) / var, cf.k2 * p + cf.k3 * q, var
-
-
 def _noiseless_power(k1: float) -> float:
-    # t for an unattained noiseless infimum, or for an optimum below the
-    # decoder's floor (PSD_RTOL): k1*t^2 = 1e-7, with t^2 >= 1e-10 kept.
+    # |z| for an unattained noiseless infimum, or for an optimum below the
+    # decoder's floor (PSD_RTOL): k1*|z|^2 = 1e-7, with |z|^2 >= 1e-10 kept.
     return math.sqrt(max(1e-7 / k1, 1e-10))
 
 
-def _best_power(j, mu, k1: float, n: float):
-    """Per direction, the t = sqrt(v / sigma_x2) >= 0 minimizing the cost
-    -j*t^2/(t^2 + n) + k1*t^2 - mu*t (per sigma_x2, less its constant), and
-    that minimum (``docs/derivation_notes.md`` §8)."""
-    if n == 0.0:  # the cost is -j + k1*t^2 - mu*t for every t > 0
-        value = np.minimum(-j - mu * mu / (4.0 * k1), 0.0)
-        return np.where(value < 0.0, np.maximum(mu / (2.0 * k1), _noiseless_power(k1)), 0.0), value
-    # Stationary points solve (2*k1*t - mu)(t^2 + n)^2 = 2*j*n*t.  Scaled by
-    # tau, the larger of sqrt(n) and the bound on the minimizer, it reads
-    # (s - a)(s^2 + nu)^2 = b*nu*s with a, |b|, nu <= 1 at any noise level.
-    tau = np.maximum((mu + np.sqrt(mu * mu + 4.0 * k1 * np.abs(j))) / (2.0 * k1), math.sqrt(n))
-    a, b, nu = mu / (2.0 * k1 * tau), j / (k1 * tau * tau), n / (tau * tau)
-    companion = np.zeros(a.shape + (5, 5))
-    companion[..., 1:, :-1] = np.eye(4)
-    companion[..., :, -1] = np.stack([a * nu * nu, nu * (b - nu), 2.0 * a * nu, -2.0 * nu, a], axis=-1)
-    # Candidates: every root, clipped at 0 and Newton-polished (small roots
-    # lose relative accuracy), and s = 0; any s >= 0 is feasible.
-    s = np.maximum(np.linalg.eigvals(companion).real, 0.0)
-    a, b, nu = a[..., None], b[..., None], nu[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(2):
-            q = s * s + nu
-            step = ((s - a) * q * q - b * nu * s) / (q * q + 4.0 * s * (s - a) * q - b * nu)
-            s = np.where(np.isfinite(step), np.maximum(s - step, 0.0), s)
-    s = np.concatenate([s, np.zeros(a.shape)], axis=-1)
-    q = s * s + nu  # 0 only where s = 0 and nu underflows
-    value = s * s - 2.0 * a * s - b * np.divide(s * s, q, out=np.zeros_like(q), where=q > 0.0)
-    pick = np.argmin(value, axis=-1)[..., None]
-    s, value = np.take_along_axis(s, pick, -1)[..., 0], np.take_along_axis(value, pick, -1)[..., 0]
-    return tau * s, k1 * tau * tau * value
+def _cost(w1, w0, m1, m0, l1, l0, nu):
+    """f(w) = -(w^T M w)/(|w|^2 + nu) + |w|^2 + l.w, scaled, in M's eigenbasis (§8)."""
+    d = w1 * w1 + w0 * w0
+    return d + l1 * w1 + l0 * w0 - (m1 * w1 * w1 + m0 * w0 * w0) / (d + nu)
 
 
-def _scan_directions(model: SourcePairModel, cf: CanonicalForm, n: float) -> tuple[float, float]:
-    """Weight alpha and power t of the best encoder direction.  The direction
-    is an angle phi, alpha = tan(phi): one scan of period pi covers every alpha."""
-    def profile(phi):
-        j, lam, var = _direction_terms(model, cf, np.cos(phi), np.sin(phi))
-        return _best_power(j, np.abs(lam) / np.sqrt(var), cf.k1, n)
+def _polish(w1, w0, m1, m0, l1, l0, nu):
+    """(f, w1, w0) after Newton steps on the gradient of :func:`_cost` from w, or at w."""
+    start = (_cost(w1, w0, m1, m0, l1, l0, nu), w1, w0)
+    for _ in range(16):  # from a root, 1 to 8 steps reach a fixed point
+        d = w1 * w1 + w0 * w0 + nu
+        p1, p0 = w1 / d, w0 / d
+        beta = m1 * p1 * p1 + m0 * p0 * p0  # (w^T M w) / d^2
+        # the gradient is 2*c*w + l and the Hessian 2*diag(c) + 2*(u p^T + p u^T)
+        c1, c0 = 1.0 + beta - m1 / d, 1.0 + beta - m0 / d
+        u1, u0 = 2.0 * p1 * (m1 - beta * d), 2.0 * p0 * (m0 - beta * d)
+        h11, h00, h10 = 2.0 * c1 + 4.0 * u1 * p1, 2.0 * c0 + 4.0 * u0 * p0, 2.0 * (u1 * p0 + p1 * u0)
+        det = h11 * h00 - h10 * h10
+        if not (det and math.isfinite(det)):
+            break
+        g1, g0 = 2.0 * w1 * c1 + l1, 2.0 * w0 * c0 + l0
+        s1, s0 = (h00 * g1 - h10 * g0) / det, (h11 * g0 - h10 * g1) / det
+        w1, w0 = w1 - s1, w0 - s0
+        if abs(s1) + abs(s0) <= 1e-15 * (abs(w1) + abs(w0)):
+            break
+    return min((_cost(w1, w0, m1, m0, l1, l0, nu), w1, w0), start, key=lambda point: point[0])  # ties: the end
 
-    step = math.pi / _SCAN_POINTS
-    phi = step * np.arange(_SCAN_POINTS)
-    value = profile(phi)[1]
-    local = np.flatnonzero((value <= np.roll(value, 1)) & (value <= np.roll(value, -1)))
-    centers = phi[local[np.argsort(value[local], kind="stable")[:_BASINS]]]
-    rows = np.arange(len(centers))
-    for _ in range(_ZOOM_LEVELS):
-        grid = centers[:, None] + step * np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-        t, value = profile(grid)
-        pick = np.argmin(value, axis=1)
-        centers, t, value = grid[rows, pick], t[rows, pick], value[rows, pick]
-        step *= 2.0 / (_ZOOM_POINTS - 1)
-    best = int(np.argmin(value))
-    return math.tan(centers[best]), float(t[best])
+
+def _signal(m1, m0, l1, l0, nu):
+    """The scaled whitened signal w minimizing :func:`_cost`: the best of no signal, the hard case
+    x = 0 and one Newton-polished point per positive root x of the polynomial of §8 (w -> 0+ at nu = 0)."""
+    best = (0.0, 0.0, 0.0)
+    if l0 * l0 < 4.0:  # x = 0, exact when l1 = 0: D^2*(1 - l0^2/4) = m1*nu, w1 free on its sphere
+        d = math.sqrt(m1 * nu / (1.0 - l0 * l0 / 4.0))
+        w0 = -d * l0 / 2.0
+        if d - nu - w0 * w0 > 0.0:
+            w1 = math.sqrt(d - nu - w0 * w0) * (-1.0 if l1 > 0.0 else 1.0)
+            exact = (_cost(w1, w0, m1, m0, l1, l0, nu), w1, w0)
+            best = min(best, _polish(w1, w0, m1, m0, l1, l0, nu) if l1 else exact)
+    q1, q0, roots = l1 * l1, l0 * l0, []
+    b = 4.0 - q1 - q0  # its left side is 4(m1 + x)x^3(1 + x)^3(4x^2 + b*x - q1)
+    if nu == 0.0:  # the right side vanishes: the positive root of 4x^2 + b*x - q1
+        roots = [2.0 * q1 / (b + math.hypot(b, 4.0 * l1)) if b > 0.0 else (math.hypot(b, 4.0 * l1) - b) / 8.0]
+    elif l1 or l0:  # with l = 0 every root gives w = 0
+        e = 1.0 / (1.0 + (q1 + q0) / 4.0)  # in x*e every root and coefficient stays bounded
+        lhs = np.convolve(np.convolve([4.0, 4.0 * m1 * e], [4.0, b * e, -q1 * e * e]), np.poly([0.0] * 3 + [-e] * 3))
+        kx = np.array([4.0, 8.0, 4.0 + m0 * q0 + m1 * q1, 2.0 * m1 * q1, m1 * q1]) * e ** np.arange(5.0)
+        lhs[1:] -= nu * e * np.convolve(kx, kx)
+        if not np.isfinite(lhs).all():
+            raise OverflowError("the control polynomial overflows at this scale")
+        roots = (np.roots(lhs).real / e).tolist()
+    for x in [x for x in roots if x > 0.0]:
+        y1, y0 = -l1 / (2.0 * x), -l0 / (2.0 * (1.0 + x))
+        b = m1 * y1 * y1 + m0 * y0 * y0 + 1.0
+        if b > 0.0:
+            d = (m1 + x) / b
+            best = min(best, _polish(d * y1, d * y0, m1, m0, l1, l0, nu))
+    return best[1], best[2]
 
 
 def solve_canonical(
@@ -341,23 +330,22 @@ def solve_canonical(
     ``noise_var`` by a receiver best-responding in squared error, and
     returns the solved scheme with the controller and receiver costs.
 
-    With v = c^2*Var(X + alpha*theta) the objective is const -
-    J_k(alpha)*v/(v + N) + k1*v - |lambda(alpha)*c|: J_k is the alignment
-    value of the model with theta scaled to k*theta, lambda the U*X /
-    U*theta penalty per unit gain (``docs/derivation_notes.md`` §8).  With
-    k2 = k3 = 0, alpha = k*best_alpha(sigma_x2, k*rho, k^2*r)
-    and v = max(0, sqrt(J_k*N/k1) - N), zero exactly when J_k <= k1*N;
-    otherwise one scan over the encoder direction takes each direction's
-    best v from its stationarity equation.  The gain's sign makes the
-    U*X / U*theta penalty favorable.
+    In whitened coordinates z = L^T c*(1, alpha), with L L^T the covariance
+    of (X, theta), the cost per sigma_x2 is Var(X + k*theta) -
+    (g.z)(h.z)/(|z|^2 + n) + k1*|z|^2 + l.z, n = N/sigma_x2.  Its minimizer
+    is the best of no signal, the hard case and one candidate per positive
+    root of one polynomial (``docs/derivation_notes.md`` §8).  Pure tracking
+    is the hard case: alpha = k*best_alpha(sigma_x2, k*rho, k^2*r), also
+    reported when nothing is sent, and v = max(0, sqrt(J_k*N/k1) - N).
 
-    Over a noiseless channel (N = 0) any positive gain delivers the whole
-    alignment.  When lambda(alpha*) != 0 the optimum is attained at
-    c = |lambda|/(2*k1*Var(X + alpha*theta)).  When lambda(alpha*) = 0, as
-    in every k2 = k3 = 0 game, the infimum is the unattained limit c -> 0+;
-    the gain returned sends v = 1e-7*sigma_x2/k1, within 1e-7*sigma_x2 of
-    it (v = 1e-10*sigma_x2 for k1 > 1000, above the decoder's floor).  The
-    same v replaces an optimal signal too weak for the decoder to keep.
+    When N = 0 and the optimum is not attained, as in every k2 = k3 = 0
+    game, the infimum is the limit c -> 0+; the gain returned sends
+    v = 1e-7*sigma_x2/k1, within 1e-7*sigma_x2 of it (v = 1e-10*sigma_x2
+    for k1 > 1000, above the decoder's floor).  The same v replaces an
+    optimal signal too weak for the decoder to keep, unless it costs more
+    than sending nothing.
+
+    Raises :class:`OverflowError` when the gain or a cost is not finite.
     """
     require_valid(model)
     if not (math.isfinite(noise_var) and noise_var >= 0.0):
@@ -369,27 +357,38 @@ def solve_canonical(
         raise Unbounded(f"U^2 penalty k1 = {cf.k1!r} is not coercive")
 
     s2, rho, r, k, n = model.sigma_x2, model.rho, model.r, cf.theta_weight, noise_var / model.sigma_x2
-    if cf.k2 == 0.0 and cf.k3 == 0.0:
-        alpha = k * float(_stationary_weight(k * rho, k * k * r))
-        j = _direction_terms(model, cf, 1.0, alpha)[0]  # positive at the best weight
-        if n > 0.0:  # v = sqrt(j*n/k1) - n, written so that it cannot overflow
-            t = math.sqrt(max(0.0, math.sqrt(n) * (math.sqrt(j / cf.k1) - math.sqrt(n))))
-        else:
-            t = _noiseless_power(cf.k1)
-    else:
-        alpha, t = _scan_directions(model, cf, n)
-    if t > 0.0 and t * t + n <= PSD_RTOL:  # a signal the decoder would drop
-        t = _noiseless_power(cf.k1)
-    _, lam, var = _direction_terms(model, cf, 1.0, alpha)
-    c = (-1.0 if lam > 0.0 else 1.0) * t / math.sqrt(var)
+    s = math.sqrt(r - rho * rho)  # L = [[1, 0], [rho, s]], so g = (1, 0)
+    a = math.hypot(1.0 + 2.0 * k * rho, 2.0 * k * s)  # |h|, h = L^T (1, 2k)
+    # M/|h| has eigenvalues (hx +- 1)/2; its top eigenvector (e1, e2), L^T (1 + |h|, 2k), bisects g and h.
+    hx, ht = (1.0 + 2.0 * k * rho) / a, 2.0 * k * s / a
+    p = 1.0 + hx if hx >= 0.0 else ht * ht / (1.0 - hx)  # 1 + hx, without cancellation
+    m1, m0 = p / 2.0, -(ht * ht / p if hx >= 0.0 else 1.0 - hx) / 2.0
+    e1, e2 = p / math.hypot(p, ht), ht / math.hypot(p, ht)
+    # z = tau*w with tau = sqrt(|h|/k1) and f divided by |h|, so k1 = |h| = 1
+    tau, root = math.sqrt(a) / math.sqrt(cf.k1), math.sqrt(a) * math.sqrt(cf.k1)
+    lx, lt = (cf.k2 + cf.k3 * rho) / root, cf.k3 * s / root
+    l1, l0, nu, floor = lx * e1 + lt * e2, lt * e1 - lx * e2, n / tau / tau, _noiseless_power(cf.k1) / tau
+    w1, w0 = _signal(m1, m0, l1, l0, nu)
+    t = math.hypot(w1, w0)
+    # Raise to the floor a noiseless optimum, attained or not, or a signal the decoder would drop.
+    if t < floor and (nu == 0.0 or 0.0 < t and tau * t * tau * t + n <= PSD_RTOL):
+        w1, w0 = (w1 * floor / t, w0 * floor / t) if t else (floor, 0.0)
+    if (w1 or w0) and _cost(w1, w0, m1, m0, l1, l0, nu) >= 0.0:  # the floor costs more than it gains
+        w1 = w0 = 0.0
+    u2 = tau * (w1 * e2 + w0 * e1) / s  # U = c*X + u2*theta
+    # U = c*(X + alpha*theta) reaches a pure-theta signal only as c -> 0; 2^-52*u2 costs the same
+    c = tau * (w1 * e1 - w0 * e2) - rho * u2 or 2.0 ** -52 * u2
+    alpha = u2 / c if c else 2.0 * k / (1.0 + a)
     # The kernel's kappa is c times the decoder weight; the tracking error
     # E[(X + k*theta - Xhat)^2] is Var(X + k*theta) - kappa*Cov(X + 2k*theta, S).
     kappa, _, d_d = _linear_costs(rho, r, alpha, c * c, 0.0, n)
     p, q = 1.0 + alpha * rho, rho + alpha * r  # Cov(X, S), Cov(theta, S) per sigma_x2
     track = _signal_ratio(rho, r, k) - kappa * (p + 2.0 * k * q)
-    j_e = track + cf.k1 * c * c * var + c * (cf.k2 * p + cf.k3 * q)
+    j_e = s2 * (track + cf.k1 * c * c * _signal_ratio(rho, r, alpha) + c * (cf.k2 * p + cf.k3 * q))
+    if not all(map(math.isfinite, (c, alpha, j_e, s2 * d_d))):
+        raise OverflowError("the solved gain or costs are not finite at this scale")
     scheme = LinearScheme(enc_gain=c, enc_theta_weight=alpha, dec_y_weight=kappa / c if c else 0.0)
-    return scheme, float(s2 * j_e), float(s2 * d_d)
+    return scheme, float(j_e), float(s2 * d_d)
 
 
 def solve_objectives(

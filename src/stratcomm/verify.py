@@ -58,7 +58,7 @@ GOLDEN_D_E = (3.0 - _SQRT5) / 2.0
 GOLDEN_D_D = (5.0 - _SQRT5) / 10.0
 
 # Pure tracking with a small actuation penalty, and (model, game, channel
-# noise) for two games with U*X and U*theta penalties, which no closed form solves.
+# noise) for two games with U*X and U*theta penalties, solved by a polynomial root.
 _PURE_TRACKING = CanonicalForm(k1=0.1, k2=0.0, k3=0.0, theta_weight=1.0)
 _CONTROL_GAMES = (
     (SourcePairModel(1.0, 0.2, 1.3), CanonicalForm(k1=0.15, k2=0.2, k3=-0.1, theta_weight=0.8), 0.7),
@@ -499,7 +499,7 @@ def _control_weight_noise_free(rng):
     for noise in (0.1, 1.0, 10.0):
         scheme, _, _ = solve_canonical(GOLDEN_MODEL, _PURE_TRACKING, noise)
         worst = max(worst, abs(scheme.enc_theta_weight - GOLDEN_ALPHA))
-    return worst, 1e-5, "<=", "pure actuation penalty keeps the bias weight"
+    return worst, 1e-12, "<=", "pure actuation penalty keeps the bias weight"
 
 
 def _control_objective(model, cf, noise_var, alpha, gain):

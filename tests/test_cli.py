@@ -284,6 +284,24 @@ def test_control_check_rejects_an_overflowing_penalty(write_scenario, capsys):
     assert "k1: must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k, code", [(1e154, 2), (-1e154, 2), (1e150, 0)])
+def test_control_check_at_a_huge_theta_weight(write_scenario, capsys, k, code):
+    # (X + k*theta - Xhat)^2 + 0.5 U^2 on (2, 0.3, 1): at |k| = 1e154 the cost
+    # Var(X + k*theta) leaves the float range, a numerical failure (exit 2)
+    payload = _control_payload()
+    payload["model"] = {"sigma_x2": 2.0, "rho": 0.3, "r": 1.0}
+    payload["channel"] = {"power": 1.0, "noise_var": 1.0}
+    payload["objectives"]["encoder"].update(theta2=k * k, theta_xhat=-2.0 * k, x_theta=2.0 * k, u2=0.5)
+    assert _run(["control-check", "--scenario", write_scenario(payload)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "OverflowError" in err
+    else:
+        solution = json.loads(out)["solution"]
+        assert solution["theta_weight"] == pytest.approx(1.0, rel=1e-12)
+        assert solution["controller_cost"] == pytest.approx(2e300, rel=1e-12)
+
+
 def test_control_check_classifies_without_solving(write_scenario, capsys):
     payload = _control_payload(decoder_extra={"u_xhat": 1.0, "u2": 1.0})
     assert _run(["control-check", "--scenario", write_scenario(payload)]) == 0

@@ -1,6 +1,7 @@
 """Linearity classification and solution of canonical quadratic control games."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from stratcomm.control_games import (
 )
 from stratcomm.equilibrium import best_alpha, objective_j
 from stratcomm.errors import CrossTermPresent, NonCanonicalizable, Unbounded
-from stratcomm.gausslin import SourcePairModel, cross_moment
+from stratcomm.gausslin import PSD_RTOL, SourcePairModel, cross_moment
 from stratcomm.verify import _control_objective
 
 
@@ -318,3 +319,166 @@ def test_solve_objectives_reports_raw_units(golden_model):
 def test_solve_objectives_refuses_cross_terms(golden_model):
     with pytest.raises(CrossTermPresent):
         solve_objectives(golden_model, *_two_stage_pair(), 1.0)
+
+
+@pytest.mark.parametrize("k", [1e154, -1e154])
+def test_an_overflowing_cost_raises(k):
+    # Var(X + k*theta) = 2*(1 + 0.6k + k^2) leaves the float range; the weight
+    # 2k/(1 + |h|) does not, so the failure is the cost's, reported as such
+    with pytest.raises(OverflowError):
+        solve_canonical(SourcePairModel(2.0, 0.3, 1.0), CanonicalForm(k1=0.5, k2=0.0, k3=0.0, theta_weight=k), 1.0)
+
+
+def test_a_huge_theta_weight_keeps_its_limit_weight():
+    # the weight tends to sign(k)/sqrt(r) as |k| grows
+    scheme, j_e, j_d = solve_canonical(
+        SourcePairModel(2.0, 0.3, 1.0), CanonicalForm(k1=0.5, k2=0.0, k3=0.0, theta_weight=1e150), 1.0
+    )
+    assert scheme.enc_theta_weight == pytest.approx(1.0, rel=1e-12)
+    assert j_e == pytest.approx(1.9999999999999998e300, rel=1e-12)
+    assert j_d == pytest.approx(0.7, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Second route: the former direction scan, batched across games.  Per
+# direction alpha = tan(phi) it takes the best power t = sqrt(v/sigma_x2)
+# from every root of the quintic (2*k1*t - mu)(t^2 + n)^2 = 2*J*n*t, scans
+# 512 angles and re-scans the three lowest local minima nine times, each
+# 8 times finer.  Its weight is resolved to about 1e-8.
+
+_SCAN_POINTS, _BASINS, _ZOOM_POINTS, _ZOOM_LEVELS = 512, 3, 17, 9
+
+
+def _direction_terms(rho, r, k, k2, k3, a, b):
+    """J_k, lambda and Var(S), per sigma_x2, of the encoder direction S = a*X + b*theta."""
+    p = a + b * rho  # Cov(X, S) / sigma_x2
+    q = a * rho + b * r  # Cov(theta, S) / sigma_x2
+    var = a * p + b * q
+    return p * (p + 2.0 * k * q) / var, k2 * p + k3 * q, var
+
+
+def _scan_floor(k1):
+    return np.sqrt(np.maximum(1e-7 / k1, 1e-10))
+
+
+def _best_power(j, mu, k1, n, noiseless):
+    """Per direction, the t >= 0 minimizing -j*t^2/(t^2 + n) + k1*t^2 - mu*t, and that minimum."""
+    if noiseless:  # the cost is -j + k1*t^2 - mu*t for every t > 0
+        value = np.minimum(-j - mu * mu / (4.0 * k1), 0.0)
+        return np.where(value < 0.0, np.maximum(mu / (2.0 * k1), _scan_floor(k1)), 0.0), value
+    tau = np.maximum((mu + np.sqrt(mu * mu + 4.0 * k1 * np.abs(j))) / (2.0 * k1), np.sqrt(n))
+    a, b, nu = mu / (2.0 * k1 * tau), j / (k1 * tau * tau), n / (tau * tau)
+    companion = np.zeros(a.shape + (5, 5))
+    companion[..., 1:, :-1] = np.eye(4)
+    companion[..., :, -1] = np.stack([a * nu * nu, nu * (b - nu), 2.0 * a * nu, -2.0 * nu, a], axis=-1)
+    s = np.maximum(np.linalg.eigvals(companion).real, 0.0)
+    a, b, nu = a[..., None], b[..., None], nu[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            q = s * s + nu
+            step = ((s - a) * q * q - b * nu * s) / (q * q + 4.0 * s * (s - a) * q - b * nu)
+            s = np.where(np.isfinite(step), np.maximum(s - step, 0.0), s)
+    s = np.concatenate([s, np.zeros(a.shape)], axis=-1)
+    q = s * s + nu
+    value = s * s - 2.0 * a * s - b * np.divide(s * s, q, out=np.zeros_like(q), where=q > 0.0)
+    pick = np.argmin(value, axis=-1)[..., None]
+    s, value = np.take_along_axis(s, pick, -1)[..., 0], np.take_along_axis(value, pick, -1)[..., 0]
+    return tau * s, k1 * tau * tau * value
+
+
+def _scan(games):
+    """(alpha, gain) of the scan for rows (sigma_x2, rho, r, k, k1, k2, k3, N),
+    all noiseless or all noisy."""
+    games = np.asarray(games, dtype=float)
+    rho, r, k, k1, k2, k3 = games[:, 1:7].T
+    n = games[:, 7] / games[:, 0]
+    noiseless = not n.any()
+
+    def profile(phi):
+        shape = (-1,) + (1,) * (phi.ndim - 1)
+        par = [v.reshape(shape) for v in (rho, r, k, k1, k2, k3, n)]
+        j, lam, var = _direction_terms(*par[:3], *par[4:6], np.cos(phi), np.sin(phi))
+        return _best_power(j, np.abs(lam) / np.sqrt(var), par[3], par[6], noiseless)
+
+    rows = np.arange(len(games))[:, None]
+    step = math.pi / _SCAN_POINTS
+    phi = step * np.arange(_SCAN_POINTS)
+    value = profile(np.broadcast_to(phi, (len(games), _SCAN_POINTS)))[1]
+    local = (value <= np.roll(value, 1, axis=1)) & (value <= np.roll(value, -1, axis=1))
+    basins = np.argsort(np.where(local, value, np.inf), axis=1, kind="stable")[:, :_BASINS]
+    centers = phi[np.where(local[rows, basins], basins, basins[:, :1])]  # fewer basins: repeat the best
+    for _ in range(_ZOOM_LEVELS):
+        grid = centers[..., None] + step * np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+        t, value = profile(grid)
+        pick = np.argmin(value, axis=2)[..., None]
+        centers, t, value = (np.take_along_axis(x, pick, 2)[..., 0] for x in (grid, t, value))
+        step *= 2.0 / (_ZOOM_POINTS - 1)
+    best = np.argmin(value, axis=1)[:, None]
+    phi, t = np.take_along_axis(centers, best, 1)[:, 0], np.take_along_axis(t, best, 1)[:, 0]
+    t = np.where((t > 0.0) & (t * t + n <= PSD_RTOL), _scan_floor(k1), t)  # a signal the decoder would drop
+    alpha = np.tan(phi)
+    _, lam, var = _direction_terms(rho, r, k, k2, k3, 1.0, alpha)
+    return alpha, np.where(lam > 0.0, -1.0, 1.0) * t / np.sqrt(var)
+
+
+def _assert_no_worse_than_the_scan(games):
+    # Batches of 100 games, two at a time: the 5x5 eigenvalue calls, about
+    # 6 us each and 971 per noisy game, release the interpreter lock.
+    games = np.asarray(games, dtype=float)
+    scan = np.empty((len(games), 2))
+    chunks = [
+        chunk
+        for noiseless in (True, False)
+        for rows in [np.flatnonzero((games[:, 7] == 0.0) == noiseless)]
+        for chunk in np.array_split(rows, -(-len(rows) // 100))
+    ]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for chunk, result in zip(chunks, pool.map(lambda rows: _scan(games[rows]), chunks)):
+            scan[chunk] = np.column_stack(result)
+    for game, (alpha, gain) in zip(games, scan):
+        s2, rho, r, k, k1, k2, k3, noise = (float(v) for v in game)
+        model, cf = SourcePairModel(s2, rho, r), CanonicalForm(k1=k1, k2=k2, k3=k3, theta_weight=k)
+        scheme, j_e, j_d = solve_canonical(model, cf, noise)
+        assert all(map(math.isfinite, (scheme.enc_gain, scheme.enc_theta_weight, j_e, j_d))), game
+        new, old = (
+            float(_control_objective(model, cf, noise, np.array(a), np.array(c)))
+            for a, c in ((scheme.enc_theta_weight, scheme.enc_gain), (alpha, gain))
+        )
+        assert new <= old + 1e-12 * max(1.0, abs(j_e) / s2) * s2, game
+
+
+def _wide_games(count=2000):
+    # sigma_x2 to 1e+-100, r - rho^2 in 1e-8..1e4, k1 in 1e-4..1e4, N/sigma_x2
+    # either 0 or in 1e-8..1e4, one game in ten pure tracking
+    rng = np.random.default_rng(22)
+    games = []
+    for _ in range(count):
+        s2, rho = 10.0 ** rng.uniform(-100.0, 100.0), rng.uniform(-0.99, 0.99)
+        r, k, k1 = rho * rho + 10.0 ** rng.uniform(-8.0, 4.0), rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-4.0, 4.0)
+        k2, k3 = (0.0, 0.0) if rng.uniform() < 0.1 else rng.uniform(-2.0, 2.0, 2)
+        n = 0.0 if rng.uniform() < 0.15 else 10.0 ** rng.uniform(-8.0, 4.0)
+        games.append((s2, rho, r, k, k1, k2, k3, n * s2))
+    return games
+
+
+def test_no_worse_than_the_direction_scan():
+    _assert_no_worse_than_the_scan(_wide_games())
+
+
+def test_extreme_games_stay_finite_and_no_worse_than_the_scan():
+    # r - rho^2 = 1e-9, k = -50, k1 = 1e-8 and 1e8, N = 1e-12 and 1e12, and
+    # sigma_x2 = N = 1e-300, with no, tiny and unit U*X / U*theta penalties
+    games = [
+        (s2, 0.6, 0.36 + gap, k, k1, k2, k3, n * s2)
+        for s2, ns in ((1.0, (0.0, 1e-12, 1.0, 1e12)), (1e-300, (0.0, 1.0)))
+        for n in ns
+        for gap in (1e-9, 1.0)
+        for k in (0.7, -50.0)
+        for k1 in (1e-8, 0.3, 1e8)
+        for k2, k3 in ((0.0, 0.0), (1e-300, -1e-300), (0.4, -0.3))
+    ]
+    # optima that send theta alone, which U = c*(X + alpha*theta) reaches only as c -> 0,
+    # and penalties whose polynomial coefficients would overflow without scaling x
+    games += [(1.0, rho, 1.0, 1.0, 1e20, 0.0, 1e20, 0.0) for rho in (-0.3, 0.0, 0.5)]
+    games += [(1.0, 0.2, 1.3, 0.8, k1, 1e100, 3e99, n) for k1 in (1e-8, 1.0) for n in (0.0, 1.0)]
+    _assert_no_worse_than_the_scan(games)
