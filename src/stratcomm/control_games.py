@@ -255,8 +255,7 @@ def classification_report(
 
 
 def _noiseless_power(k1: float) -> float:
-    # |z| for an unattained noiseless infimum, or for an optimum below the
-    # decoder's floor (PSD_RTOL): k1*|z|^2 = 1e-7, with |z|^2 >= 1e-10 kept.
+    # |z| sent for an unattained noiseless infimum or below the decoder's floor: k1*|z|^2 = 1e-7, |z|^2 >= 1e-10
     return math.sqrt(max(1e-7 / k1, 1e-10))
 
 
@@ -285,7 +284,8 @@ def _polish(w1, w0, m1, m0, l1, l0, nu):
         w1, w0 = w1 - s1, w0 - s0
         if abs(s1) + abs(s0) <= 1e-15 * (abs(w1) + abs(w0)):
             break
-    return min((_cost(w1, w0, m1, m0, l1, l0, nu), w1, w0), start, key=lambda point: point[0])  # ties: the end
+    end = (_cost(w1, w0, m1, m0, l1, l0, nu), w1, w0)
+    return end if end[0] <= start[0] else start  # ties go to the end, a NaN to the start
 
 
 def _signal(m1, m0, l1, l0, nu):
@@ -361,9 +361,9 @@ def solve_canonical(
     a = math.hypot(1.0 + 2.0 * k * rho, 2.0 * k * s)  # |h|, h = L^T (1, 2k)
     # M/|h| has eigenvalues (hx +- 1)/2; its top eigenvector (e1, e2), L^T (1 + |h|, 2k), bisects g and h.
     hx, ht = (1.0 + 2.0 * k * rho) / a, 2.0 * k * s / a
-    p = 1.0 + hx if hx >= 0.0 else ht * ht / (1.0 - hx)  # 1 + hx, without cancellation
-    m1, m0 = p / 2.0, -(ht * ht / p if hx >= 0.0 else 1.0 - hx) / 2.0
-    e1, e2 = p / math.hypot(p, ht), ht / math.hypot(p, ht)
+    hp = 1.0 + hx if hx >= 0.0 else ht * ht / (1.0 - hx)  # 1 + hx, without cancellation
+    m1, m0 = hp / 2.0, -(ht * ht / hp if hx >= 0.0 else 1.0 - hx) / 2.0
+    e1, e2 = hp / math.hypot(hp, ht), ht / math.hypot(hp, ht)
     # z = tau*w with tau = sqrt(|h|/k1) and f divided by |h|, so k1 = |h| = 1
     tau, root = math.sqrt(a) / math.sqrt(cf.k1), math.sqrt(a) * math.sqrt(cf.k1)
     lx, lt = (cf.k2 + cf.k3 * rho) / root, cf.k3 * s / root

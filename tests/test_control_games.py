@@ -481,4 +481,7 @@ def test_extreme_games_stay_finite_and_no_worse_than_the_scan():
     # and penalties whose polynomial coefficients would overflow without scaling x
     games += [(1.0, rho, 1.0, 1.0, 1e20, 0.0, 1e20, 0.0) for rho in (-0.3, 0.0, 0.5)]
     games += [(1.0, 0.2, 1.3, 0.8, k1, 1e100, 3e99, n) for k1 in (1e-8, 1.0) for n in (0.0, 1.0)]
+    # Newton steps from the hard-case point that end in NaN must keep that point
+    games.append((2.5576350812254382e-166, -0.9882924630500897, 0.9770845336988472, -0.017547852597107325,
+                  4.3358581767867973e-271, 1.4773147904868582e-295, 0.0, 3.706691427409222e-60))
     _assert_no_worse_than_the_scan(games)
