@@ -26,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -654,6 +655,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stratcomm",

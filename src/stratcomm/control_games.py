@@ -262,6 +262,8 @@ def _noiseless_power(k1: float) -> float:
 def _cost(w1, w0, m1, m0, l1, l0, nu):
     """f(w) = -(w^T M w)/(|w|^2 + nu) + |w|^2 + l.w, scaled, in M's eigenbasis (§8)."""
     d = w1 * w1 + w0 * w0
+    if not d + nu:  # |w|^2 underflows at nu = 0: no candidate, as no signal already covers w = 0
+        return math.inf
     return d + l1 * w1 + l0 * w0 - (m1 * w1 * w1 + m0 * w0 * w0) / (d + nu)
 
 
@@ -270,6 +272,8 @@ def _polish(w1, w0, m1, m0, l1, l0, nu):
     start = (_cost(w1, w0, m1, m0, l1, l0, nu), w1, w0)
     for _ in range(16):  # from a root, 1 to 8 steps reach a fixed point
         d = w1 * w1 + w0 * w0 + nu
+        if not d:  # a step to |w|^2 = 0 at nu = 0 costs inf, so the start is kept
+            break
         p1, p0 = w1 / d, w0 / d
         beta = m1 * p1 * p1 + m0 * p0 * p0  # (w^T M w) / d^2
         # the gradient is 2*c*w + l and the Hessian 2*diag(c) + 2*(u p^T + p u^T)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._csvio import write_rows
 from .equilibrium import _linear_costs, _signal_ratio, best_alpha
@@ -267,6 +267,16 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
+_SQRTH = math.sqrt(0.5)
+
+
+def _quantile_grid(levels: int) -> np.ndarray:
+    """N(0, 1) quantiles at (i + 1/2)/levels, by Wichura's AS241 in ``statistics`` on the lower half, mirrored."""
+    inv_cdf = statistics.NormalDist().inv_cdf
+    low = [inv_cdf((i + 0.5) / levels) for i in range(levels // 2)]
+    return np.array(low + [0.0] * (levels % 2) + [-c for c in reversed(low)])
+
+
 # Interior quantizer cells are integrated with the 16-point Gauss-Legendre
 # rule.  It is exact to rounding on every interior cell of every quantizer
 # here: the widest, at 3 levels, spans 1.2 standard deviations.  Differences
@@ -291,14 +301,14 @@ def _cells(centroids: np.ndarray):
 
     Returns the thresholds, the cell masses, the cell means (one Lloyd step
     from ``centroids``), and the interior cells' quadrature nodes and
-    weighted densities.  The two tail cells use Q(t) and pdf(t), which do
-    not cancel.
+    weighted densities.  The two tail cells use pdf(t) and the tail mass
+    Q(|t|) = erfc(|t|/sqrt(2))/2 from ``math.erfc``, which does not cancel.
     """
     t = 0.5 * (centroids[1:] + centroids[:-1])
     half = 0.5 * (t[1:] - t[:-1])[:, None]
     nodes = 0.5 * (t[1:] + t[:-1])[:, None] + half * _GL_NODES
     dens = half * _GL_WEIGHTS * _phi(nodes)
-    mass = np.concatenate(([ndtr(t[0])], dens.sum(axis=1), [ndtr(-t[-1])]))
+    mass = np.concatenate(([0.5 * math.erfc(-t[0] * _SQRTH)], dens.sum(axis=1), [0.5 * math.erfc(t[-1] * _SQRTH)]))
     first = np.concatenate(([-_phi(t[0])], (dens * nodes).sum(axis=1), [_phi(t[-1])]))
     return t, mass, first / mass, nodes, dens
 
@@ -309,7 +319,7 @@ def _solve_tridiagonal(sub: list, diag: list, sup: list, rhs: list) -> np.ndarra
     No pivoting: the Lloyd Jacobian is diagonally dominant, because the two
     threshold derivatives of a cell mean sum to at most 1 for a log-concave
     density.  The sweep is sequential, so it runs on Python floats, and the
-    package need not load ``scipy.linalg``.
+    package needs no scipy.
     """
     n = len(diag)
     gamma = [0.0] * n  # the eliminated superdiagonal
@@ -363,7 +373,9 @@ def lloyd_max(
 
     Solves the Lloyd fixed point G(c) = c, where G maps centroids to the
     means of the cells cut at their midpoints, by damped Newton steps from
-    the quantile grid.  The Jacobian of G - c is tridiagonal and analytic.
+    the quantile grid, which ``statistics.NormalDist().inv_cdf`` (Wichura's
+    AS241) gives on the lower half and mirroring on the upper.  The
+    Jacobian of G - c is tridiagonal and analytic.
     ``residual_tol`` bounds max|G(c) - c|, the move of one plain Lloyd
     step, in standard-deviation units; iteration also stops at the rounding
     floor, where a step no longer lowers that residual.  ``iterations``
@@ -379,8 +391,7 @@ def lloyd_max(
     if not (math.isfinite(residual_tol) and residual_tol > 0.0):
         raise ValueError("residual_tol: must be positive and finite")
     # Work in standard units, rescale at the end.
-    grid = ndtri((np.arange(levels) + 0.5) / levels)
-    centroids = 0.5 * (grid - grid[::-1])
+    centroids = _quantile_grid(levels)
     cells = _cells(centroids)
     residual = float(np.max(np.abs(cells[2] - centroids)))
     iterations = 0

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stratcomm
 from stratcomm import cli
 from stratcomm.equilibrium import solve_noiseless
 from stratcomm.gausslin import SideInfoModel, SourcePairModel
@@ -428,3 +433,55 @@ def test_verify_quick_via_cli(tmp_path, capsys):
     assert summary["profile"] == "quick"
     assert len(lines) == summary["n_checks"]
     assert all(line.startswith("pass ") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_shared_parser_keeps_no_seed_or_sample_override(write_scenario, tmp_path):
+    path = write_scenario(
+        {"schema": 1, "kind": "rd", "model": {"rho": 0.3, "r": 1.5}, "rate": 2.0, "sim": {"seed": 9, "n": 20000}}
+    )
+    fresh, seeded, plain = tmp_path / "fresh.json", tmp_path / "seeded.json", tmp_path / "plain.json"
+    cli._build_parser.cache_clear()
+    assert _run(["solve", "--scenario", path, "--out", str(fresh)]) == 0
+    assert _run(["solve", "--scenario", path, "--out", str(seeded), "--seed", "4", "--samples", "30000"]) == 0
+    assert _run(["solve", "--scenario", path, "--out", str(plain)]) == 0
+    assert seeded.read_bytes() != fresh.read_bytes()
+    assert plain.read_bytes() == fresh.read_bytes()
+
+
+def test_shared_parser_keeps_no_gnuplot_path(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    gp = first / "a.gp"
+    assert _run(["sweep", "--panel", "fig3a", "--out", str(first / "a.csv"), "--gnuplot", str(gp)]) == 0
+    gp.unlink()
+    assert _run(["sweep", "--panel", "fig3a", "--out", str(second / "b.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.csv", "b.csv", "first", "second"]
+
+
+def test_shared_parser_survives_an_argument_error(write_scenario, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(["solve"])
+    assert exc.value.code == 2
+    assert "--scenario" in capsys.readouterr().err
+    assert _run(["solve", "--scenario", write_scenario(GOLDEN)]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "noiseless"
+
+
+def test_the_package_loads_no_scipy():
+    # a fresh interpreter: the package, the CLI, a quantizer and a simulated codec
+    code = (
+        "import sys, stratcomm, stratcomm.cli\n"
+        "from stratcomm import SourcePairModel, empirical_triple, lloyd_max\n"
+        "lloyd_max(16, 1.0)\n"
+        "empirical_triple(SourcePairModel(1.0, 0.0, 1.0), 16, 10_000, seed=3)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(stratcomm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[]\n"

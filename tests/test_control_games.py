@@ -484,4 +484,7 @@ def test_extreme_games_stay_finite_and_no_worse_than_the_scan():
     # Newton steps from the hard-case point that end in NaN must keep that point
     games.append((2.5576350812254382e-166, -0.9882924630500897, 0.9770845336988472, -0.017547852597107325,
                   4.3358581767867973e-271, 1.4773147904868582e-295, 0.0, 3.706691427409222e-60))
+    # noiseless games whose root candidate, or a Newton step from it, has |w|^2 underflowing to 0
+    games += [(1.03e-185, -0.166, 0.040, 3.48e141, 5.66e170, -1.29e-142, 3.46, 0.0),
+              (1.14e-3, -0.397, 0.170, 1.13e-10, 9.8e-237, 2.75e-132, 0.0, 0.0)]
     _assert_no_worse_than_the_scan(games)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from stratcomm.equilibrium import best_alpha, objective_j, solve_noiseless
 from stratcomm.errors import InvalidDistribution, ZeroRate
@@ -14,6 +15,8 @@ from stratcomm.strategic_rd import (
     DiscreteInstance,
     _GL_NODES,
     _GL_WEIGHTS,
+    _cells,
+    _quantile_grid,
     _solve_tridiagonal,
     bits_to_nats,
     discrete_best_response,
@@ -366,6 +369,30 @@ def test_tridiagonal_sweep_matches_a_dense_solve():
     dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
     got = _solve_tridiagonal(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
     assert got == pytest.approx(np.linalg.solve(dense, rhs), abs=1e-14)
+
+
+def _assert_tails_match_ndtr(centroids):
+    t, mass = _cells(centroids)[:2]
+    # scipy's erfc loses about t^2 ulp in the tail (3.6e-15 at t = 5.87);
+    # math.erfc is closer to the exact mass there
+    assert mass[0] == pytest.approx(ndtr(t[0]), rel=2e-15, abs=0.0), len(centroids)
+    assert mass[-1] == pytest.approx(ndtr(-t[-1]), rel=2e-15, abs=0.0), len(centroids)
+
+
+def test_stdlib_normal_functions_match_scipy():
+    for levels in range(2, 4097):
+        # Both sides mirror their lower half: ndtri of the rounded upper
+        # probabilities (i + 1/2)/L misses the mirror by up to 1.1e-13.
+        # Python's AS241 is within 5 ulp of the exact quantile (2.2e-15 at
+        # |q| = 3.7), ndtri within 1 ulp, so the bound is 2.5e-15.
+        low = ndtri((np.arange(levels // 2) + 0.5) / levels)
+        expected = np.concatenate((low, [0.0] * (levels % 2), -low[::-1]))
+        grid = _quantile_grid(levels)
+        assert np.max(np.abs(grid - expected)) <= 2.5e-15, levels
+        # the two outer centroids on each side cut the same tail cells as the whole grid
+        _assert_tails_match_ndtr(grid if levels < 4 else grid[[0, 1, -2, -1]])
+    for levels in (2, 3, 4, 16, 128, 1024, 4095, 4096):
+        _assert_tails_match_ndtr(lloyd_max(levels, 1.0).centroids)
 
 
 def test_quantize_maps_to_nearest_centroid():
