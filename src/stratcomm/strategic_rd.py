@@ -30,6 +30,7 @@ from .gausslin import CostPair, SourcePairModel, _require_finite, require_valid
 from . import simkit
 
 _LN2 = math.log(2.0)
+_SQRTH = math.sqrt(0.5)  # scipy's ndtr scales its erfc argument by this
 
 
 def bits_to_nats(rate_bits: float) -> float:
@@ -265,9 +266,6 @@ def discrete_best_response(inst: DiscreteInstance, d_d: np.ndarray) -> np.ndarra
 
 def _phi(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-_SQRTH = math.sqrt(0.5)
 
 
 def _quantile_grid(levels: int) -> np.ndarray:
