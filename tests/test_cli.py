@@ -139,6 +139,76 @@ def test_sim_rejected_for_match_kind(write_scenario, capsys):
     assert "sim" in err and "si_match" in err
 
 
+# The schema as the README states it: whether each kind requires, allows or
+# rejects each optional top-level section.
+_SECTIONS = ("channel", "rate", "objectives", "sim")
+_SECTION_RULES = {
+    "noiseless": ("rejected", "rejected", "rejected", "allowed"),
+    "rd": ("rejected", "required", "rejected", "allowed"),
+    "noisy": ("required", "rejected", "rejected", "allowed"),
+    "si_noiseless": ("rejected", "rejected", "rejected", "allowed"),
+    "si_rd": ("rejected", "required", "rejected", "allowed"),
+    "si_match": ("required", "rejected", "rejected", "rejected"),
+    "control": ("allowed", "rejected", "required", "rejected"),
+}
+_SECTION_VALUES = {
+    "channel": {"power": 3.0, "noise_var": 1.0},
+    "rate": 1.0,
+    "objectives": {
+        "encoder": {"x2": 1.0, "theta2": 1.0, "xhat2": 1.0, "x_xhat": -2.0, "theta_xhat": -2.0, "x_theta": 2.0, "u2": 0.1},
+        "decoder": {"x2": 1.0, "xhat2": 1.0, "x_xhat": -2.0},
+    },
+    "sim": {"seed": 3, "n": 256},
+}
+
+
+def _minimal_scenario(kind):
+    if kind == "si_match":
+        model = {"rho_x_theta": 0.0, "r_theta": 1.0, "rho_theta_w": -0.3, "r_w": 1.0}
+    elif kind.startswith("si_"):
+        model = _SI_MODEL
+    else:
+        model = {"rho": 0.2, "r": 1.1}
+    payload = {"schema": 1, "kind": kind, "model": model}
+    for section, rule in zip(_SECTIONS, _SECTION_RULES[kind]):
+        if rule == "required":
+            payload[section] = _SECTION_VALUES[section]
+    return payload
+
+
+@pytest.mark.parametrize("present", [True, False], ids=["present", "absent"])
+@pytest.mark.parametrize("section", _SECTIONS)
+@pytest.mark.parametrize("kind", list(_SECTION_RULES))
+def test_schema_matrix(write_scenario, capsys, kind, section, present):
+    rule = _SECTION_RULES[kind][_SECTIONS.index(section)]
+    payload = _minimal_scenario(kind)
+    if present:
+        payload[section] = _SECTION_VALUES[section]
+    else:
+        payload.pop(section, None)
+    code = _run(["solve", "--scenario", write_scenario(payload)])
+    err = capsys.readouterr().err
+    fails = rule == ("rejected" if present else "required")
+    assert code == (1 if fails else 0), err
+    if fails:
+        assert err.startswith(f"error: {section}:")
+        assert f"'{kind}'" in err
+
+
+@pytest.mark.parametrize("kind", list(_SECTION_RULES))
+def test_samples_flag_follows_the_sim_rule(write_scenario, capsys, kind):
+    path = write_scenario(_minimal_scenario(kind))
+    code = _run(["solve", "--scenario", path, "--samples", "256"])
+    out, err = capsys.readouterr()
+    if _SECTION_RULES[kind][_SECTIONS.index("sim")] == "allowed":
+        assert code == 0, err
+        assert json.loads(out)["sim"]["n"] == 256
+    else:
+        assert code == 1
+        assert err.startswith("error: sim:")
+        assert f"'{kind}'" in err
+
+
 def test_invalid_model_exit_one(write_scenario, capsys):
     # r = rho^2 sits exactly on the singular boundary
     payload = {"schema": 1, "kind": "noiseless", "model": {"rho": 0.5, "r": 0.25}}
