@@ -25,10 +25,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Container, Mapping, Sequence
 
 import numpy as np
 
@@ -64,17 +64,8 @@ _NUMERICAL_ERRORS = (
     NonCanonicalizable,
 )
 
-_KINDS = ("noiseless", "rd", "noisy", "si_noiseless", "si_rd", "si_match", "control")
-_PAIR_KINDS = frozenset({"noiseless", "rd", "noisy", "control"})
-_RATE_KINDS = frozenset({"rd", "si_rd"})
-_CHANNEL_REQUIRED = frozenset({"noisy", "si_match"})
-_CHANNEL_ALLOWED = _CHANNEL_REQUIRED | {"control"}
-_SIM_KINDS = frozenset({"noiseless", "rd", "noisy", "si_noiseless", "si_rd"})
-
-_TOP_FIELDS = frozenset({"schema", "kind", "model", "channel", "rate", "objectives", "sim"})
-_PAIR_FIELDS = frozenset({"sigma_x2", "rho", "r"})
-_SI_FIELDS = frozenset({"sigma_x2", "rho_x_theta", "r_theta", "rho_x_w", "rho_theta_w", "r_w"})
-_CHANNEL_FIELDS = frozenset({"power", "noise_var"})
+_SECTIONS = ("channel", "rate", "objectives", "sim")  # the optional top-level fields
+_TOP_FIELDS = frozenset({"schema", "kind", "model", *_SECTIONS})
 _SIM_FIELDS = frozenset({"seed", "n", "chunk"})
 _OBJECTIVE_FIELDS = frozenset({"encoder", "decoder"})
 
@@ -103,7 +94,7 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
-def _reject_unknown(mapping: dict, allowed: frozenset, path: str) -> None:
+def _reject_unknown(mapping: dict, allowed: Container[str], path: str) -> None:
     for key in mapping:
         if key not in allowed:
             raise SchemaError(f"{path}: unknown field '{key}'")
@@ -134,41 +125,12 @@ def _integer(mapping: dict, key: str, path: str, default: int | None = None) -> 
     return value
 
 
-def _parse_pair_model(raw: dict) -> SourcePairModel:
-    mapping = _require_mapping(raw, "model")
-    _reject_unknown(mapping, _PAIR_FIELDS, "model")
-    return SourcePairModel(
-        sigma_x2=_number(mapping, "sigma_x2", "model", default=1.0),
-        rho=_number(mapping, "rho", "model"),
-        r=_number(mapping, "r", "model"),
-    )
-
-
-def _parse_si_model(raw: dict, rho_xw_free: bool) -> SideInfoModel:
-    mapping = _require_mapping(raw, "model")
-    _reject_unknown(mapping, _SI_FIELDS, "model")
-    rho_x_w = (
-        _number(mapping, "rho_x_w", "model", default=0.0)
-        if rho_xw_free
-        else _number(mapping, "rho_x_w", "model")
-    )
-    return SideInfoModel(
-        sigma_x2=_number(mapping, "sigma_x2", "model", default=1.0),
-        rho_x_theta=_number(mapping, "rho_x_theta", "model"),
-        r_theta=_number(mapping, "r_theta", "model"),
-        rho_x_w=rho_x_w,
-        rho_theta_w=_number(mapping, "rho_theta_w", "model"),
-        r_w=_number(mapping, "r_w", "model"),
-    )
-
-
-def _parse_channel(raw: dict) -> ChannelSpec:
-    mapping = _require_mapping(raw, "channel")
-    _reject_unknown(mapping, _CHANNEL_FIELDS, "channel")
-    return ChannelSpec(
-        power=_number(mapping, "power", "channel"),
-        noise_var=_number(mapping, "noise_var", "channel"),
-    )
+def _parse_fields(raw, cls, path: str, defaults: Mapping[str, float]):
+    """Build ``cls`` from a JSON object with one finite number per dataclass field."""
+    mapping = _require_mapping(raw, path)
+    names = [f.name for f in fields(cls)]
+    _reject_unknown(mapping, names, path)
+    return cls(**{name: _number(mapping, name, path, defaults.get(name)) for name in names})
 
 
 def _parse_objective_table(raw: dict, path: str) -> QuadraticObjective:
@@ -179,6 +141,24 @@ def _parse_objective_table(raw: dict, path: str) -> QuadraticObjective:
         return QuadraticObjective.from_dict(mapping)
     except NonCanonicalizable as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _parse_objectives(raw: dict) -> tuple[QuadraticObjective, QuadraticObjective]:
+    table = _require_mapping(raw, "objectives")
+    _reject_unknown(table, _OBJECTIVE_FIELDS, "objectives")
+    if "encoder" not in table or "decoder" not in table:
+        raise SchemaError("objectives: both 'encoder' and 'decoder' tables are required")
+    return (
+        _parse_objective_table(table["encoder"], "objectives.encoder"),
+        _parse_objective_table(table["decoder"], "objectives.decoder"),
+    )
+
+
+def _parse_rate(mapping: dict, rate_units: str) -> float:
+    rate = _number(mapping, "rate", "scenario")
+    if rate < 0.0:
+        raise SchemaError("rate: must be nonnegative")
+    return rate if rate_units == "bits" else nats_to_bits(rate)
 
 
 def _parse_sim(raw: dict) -> simkit.SimConfig:
@@ -205,63 +185,24 @@ def parse_scenario(raw: dict, rate_units: str = "bits") -> Scenario:
     if mapping["schema"] != 1:
         raise SchemaError(f"schema: unsupported version {mapping['schema']!r}, expected 1")
     kind = mapping.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"kind: expected one of {', '.join(_KINDS)}")
+    spec = _KINDS[kind]
     if "model" not in mapping:
         raise SchemaError("model: required field is missing")
-
-    if kind in _PAIR_KINDS:
-        model: SourcePairModel | SideInfoModel = _parse_pair_model(mapping["model"])
-    else:
-        model = _parse_si_model(mapping["model"], rho_xw_free=(kind == "si_match"))
-
-    channel = None
-    if "channel" in mapping:
-        if kind not in _CHANNEL_ALLOWED:
-            raise SchemaError(f"channel: not used for kind '{kind}'")
-        channel = _parse_channel(mapping["channel"])
-    elif kind in _CHANNEL_REQUIRED:
-        raise SchemaError(f"channel: required for kind '{kind}'")
-
-    rate_bits = None
-    if "rate" in mapping:
-        if kind not in _RATE_KINDS:
-            raise SchemaError(f"rate: not used for kind '{kind}'")
-        rate = _number(mapping, "rate", "scenario")
-        if rate < 0.0:
-            raise SchemaError("rate: must be nonnegative")
-        rate_bits = rate if rate_units == "bits" else nats_to_bits(rate)
-    elif kind in _RATE_KINDS:
-        raise SchemaError(f"rate: required for kind '{kind}'")
-
-    objectives = None
-    if "objectives" in mapping:
-        if kind != "control":
-            raise SchemaError(f"objectives: not used for kind '{kind}'")
-        table = _require_mapping(mapping["objectives"], "objectives")
-        _reject_unknown(table, _OBJECTIVE_FIELDS, "objectives")
-        if "encoder" not in table or "decoder" not in table:
-            raise SchemaError("objectives: both 'encoder' and 'decoder' tables are required")
-        objectives = (
-            _parse_objective_table(table["encoder"], "objectives.encoder"),
-            _parse_objective_table(table["decoder"], "objectives.decoder"),
-        )
-    elif kind == "control":
-        raise SchemaError("objectives: required for kind 'control'")
-
-    sim = None
-    if "sim" in mapping:
-        if kind not in _SIM_KINDS:
-            raise SchemaError(f"sim: Monte Carlo cross-checks are not supported for kind '{kind}'")
-        sim = _parse_sim(mapping["sim"])
-
+    for name in _SECTIONS:
+        if name in mapping:
+            if name not in spec.required and name not in spec.allowed:
+                raise SchemaError(f"{name}: not used for kind '{kind}'")
+        elif name in spec.required:
+            raise SchemaError(f"{name}: required for kind '{kind}'")
     return Scenario(
         kind=kind,
-        model=model,
-        channel=channel,
-        rate_bits=rate_bits,
-        objectives=objectives,
-        sim=sim,
+        model=_parse_fields(mapping["model"], spec.model, "model", spec.defaults),
+        channel=_parse_fields(mapping["channel"], ChannelSpec, "channel", {}) if "channel" in mapping else None,
+        rate_bits=_parse_rate(mapping, rate_units) if "rate" in mapping else None,
+        objectives=_parse_objectives(mapping["objectives"]) if "objectives" in mapping else None,
+        sim=_parse_sim(mapping["sim"]) if "sim" in mapping else None,
     )
 
 
@@ -272,19 +213,6 @@ def load_scenario(path: str, rate_units: str = "bits") -> Scenario:
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-def _model_dict(model: SourcePairModel | SideInfoModel) -> dict:
-    if isinstance(model, SourcePairModel):
-        return {"sigma_x2": model.sigma_x2, "rho": model.rho, "r": model.r}
-    return {
-        "sigma_x2": model.sigma_x2,
-        "rho_x_theta": model.rho_x_theta,
-        "r_theta": model.r_theta,
-        "rho_x_w": model.rho_x_w,
-        "rho_theta_w": model.rho_theta_w,
-        "r_w": model.r_w,
-    }
 
 
 def _sim_block(model, scheme: LinearScheme, channel_noise: float, closed: CostPair, cfg) -> dict:
@@ -307,7 +235,7 @@ def _rd_scheme(model, beta: float, sigma_s2: float) -> LinearScheme:
     return solved
 
 
-def _payload_noiseless(scn: Scenario, sim) -> dict:
+def _payload_noiseless(scn: Scenario, sim, classify_only: bool) -> dict:
     rep = solve_noiseless(scn.model)
     payload = {
         "alpha": rep.alpha,
@@ -322,8 +250,8 @@ def _payload_noiseless(scn: Scenario, sim) -> dict:
     return payload
 
 
-def _payload_rd(scn: Scenario, sim) -> dict:
-    point = rd_point(scn.model, scn.rate_bits)
+def _payload_rd(scn: Scenario, sim, classify_only: bool) -> dict:
+    point = (rd_point if scn.kind == "rd" else si_rd_point)(scn.model, scn.rate_bits)
     payload = {
         "rate_bits": point.rate,
         "rate_nats": point.rate * math.log(2.0),
@@ -338,7 +266,7 @@ def _payload_rd(scn: Scenario, sim) -> dict:
     return payload
 
 
-def _payload_noisy(scn: Scenario, sim) -> dict:
+def _payload_noisy(scn: Scenario, sim, classify_only: bool) -> dict:
     scheme, costs = solve_noisy(scn.model, scn.channel)
     bound = opta_bound(scn.model, scn.channel)
     payload = {
@@ -356,7 +284,7 @@ def _payload_noisy(scn: Scenario, sim) -> dict:
     return payload
 
 
-def _payload_si_noiseless(scn: Scenario, sim) -> dict:
+def _payload_si_noiseless(scn: Scenario, sim, classify_only: bool) -> dict:
     rep = solve_noiseless_si(scn.model)
     payload = {
         "alpha_si": rep.alpha_si,
@@ -373,23 +301,7 @@ def _payload_si_noiseless(scn: Scenario, sim) -> dict:
     return payload
 
 
-def _payload_si_rd(scn: Scenario, sim) -> dict:
-    point = si_rd_point(scn.model, scn.rate_bits)
-    payload = {
-        "rate_bits": point.rate,
-        "rate_nats": point.rate * math.log(2.0),
-        "beta": point.beta,
-        "sigma_s2": point.sigma_s2,
-        "d_e": point.costs.d_e,
-        "d_d": point.costs.d_d,
-    }
-    if sim:
-        scheme = _rd_scheme(scn.model, point.beta, point.sigma_s2)
-        payload["sim"] = _sim_block(scn.model, scheme, 0.0, point.costs, sim)
-    return payload
-
-
-def _payload_si_match(scn: Scenario, sim) -> dict:
+def _payload_si_match(scn: Scenario, sim, classify_only: bool) -> dict:
     root = find_matched_rho_xw(scn.model, scn.channel)
     matched_model = replace(scn.model, rho_x_w=root)
     report = match_condition(matched_model, scn.channel)
@@ -406,7 +318,7 @@ def _payload_si_match(scn: Scenario, sim) -> dict:
     }
 
 
-def _payload_control(scn: Scenario, classify_only: bool) -> dict:
+def _payload_control(scn: Scenario, sim, classify_only: bool) -> dict:
     phi_e, phi_d = scn.objectives
     noise_var = scn.channel.noise_var if scn.channel else 0.0
     payload: dict = {
@@ -426,25 +338,43 @@ def _payload_control(scn: Scenario, classify_only: bool) -> dict:
     return payload
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """How one scenario kind is read and solved.
+
+    Each of the optional top-level fields in ``_SECTIONS`` is required if
+    listed in ``required``, allowed if listed in ``allowed`` and rejected
+    otherwise.  ``defaults`` holds the model fields a scenario may omit.
+    """
+
+    model: type
+    payload: Callable[[Scenario, simkit.SimConfig | None, bool], dict]
+    required: tuple[str, ...] = ()
+    allowed: tuple[str, ...] = ()
+    defaults: Mapping[str, float] = field(default_factory=lambda: {"sigma_x2": 1.0})
+
+
+# The schema, one entry per kind; the README's "Scenario files" list states it in prose.
+_KINDS = {
+    "noiseless": _Kind(SourcePairModel, _payload_noiseless, allowed=("sim",)),
+    "rd": _Kind(SourcePairModel, _payload_rd, required=("rate",), allowed=("sim",)),
+    "noisy": _Kind(SourcePairModel, _payload_noisy, required=("channel",), allowed=("sim",)),
+    "si_noiseless": _Kind(SideInfoModel, _payload_si_noiseless, allowed=("sim",)),
+    "si_rd": _Kind(SideInfoModel, _payload_rd, required=("rate",), allowed=("sim",)),
+    # si_match solves for rho_x_w, so the model may leave it out
+    "si_match": _Kind(
+        SideInfoModel, _payload_si_match, required=("channel",), defaults={"sigma_x2": 1.0, "rho_x_w": 0.0}
+    ),
+    "control": _Kind(SourcePairModel, _payload_control, required=("objectives",), allowed=("channel",)),
+}
+
+
 def solve_scenario(scn: Scenario, sim=None, classify_only: bool = False) -> dict:
     """Produce the kind-appropriate JSON-ready report for one scenario."""
-    payload = {"schema": 1, "kind": scn.kind, "model": _model_dict(scn.model)}
+    payload = {"schema": 1, "kind": scn.kind, "model": vars(scn.model).copy()}
     if scn.channel is not None:
-        payload["channel"] = {"power": scn.channel.power, "noise_var": scn.channel.noise_var}
-    if scn.kind == "noiseless":
-        payload.update(_payload_noiseless(scn, sim))
-    elif scn.kind == "rd":
-        payload.update(_payload_rd(scn, sim))
-    elif scn.kind == "noisy":
-        payload.update(_payload_noisy(scn, sim))
-    elif scn.kind == "si_noiseless":
-        payload.update(_payload_si_noiseless(scn, sim))
-    elif scn.kind == "si_rd":
-        payload.update(_payload_si_rd(scn, sim))
-    elif scn.kind == "si_match":
-        payload.update(_payload_si_match(scn, sim))
-    else:
-        payload.update(_payload_control(scn, classify_only))
+        payload["channel"] = vars(scn.channel).copy()
+    payload.update(_KINDS[scn.kind].payload(scn, sim, classify_only))
     return payload
 
 
@@ -512,10 +442,6 @@ def panel_rows(
     raise SchemaError(f"panel: unknown panel '{panel}'")
 
 
-def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    write_rows(path, header, rows)
-
-
 def gnuplot_script(csv_path: str, header: Sequence[str]) -> str:
     """A minimal plotting script for a sweep CSV; no plotting dependency."""
     plots = [
@@ -546,22 +472,17 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _effective_sim(scn: Scenario, seed: int | None, samples: int | None):
-    sim = scn.sim
-    if sim is None and samples is not None:
-        sim = simkit.SimConfig(seed=seed if seed is not None else verify.DEFAULT_SEED, n=samples)
-    elif sim is not None:
-        if seed is not None:
-            sim = replace(sim, seed=seed)
-        if samples is not None:
-            sim = replace(sim, n=samples)
-    if sim is not None:
-        if not 0 <= sim.seed < 2**64:
-            raise SchemaError("seed: must fit in an unsigned 64-bit integer")
-        if scn.kind not in _SIM_KINDS:
-            raise SchemaError(
-                f"sim: Monte Carlo cross-checks are not supported for kind '{scn.kind}'"
-            )
-    return sim
+    """The scenario's sim block with the --seed and --samples overrides applied."""
+    if samples is None and (scn.sim is None or seed is None):
+        return scn.sim
+    if "sim" not in _KINDS[scn.kind].allowed:
+        raise SchemaError(f"sim: not used for kind '{scn.kind}'")
+    sim = scn.sim or simkit.SimConfig(seed=verify.DEFAULT_SEED, n=samples)
+    return _parse_sim({
+        "seed": sim.seed if seed is None else seed,
+        "n": sim.n if samples is None else samples,
+        "chunk": sim.chunk,
+    })
 
 
 def run(
@@ -622,7 +543,7 @@ def _cmd_sweep(args) -> int:
     if n_valid == 0:
         print("error: grid: no valid grid points", file=sys.stderr)
         return 1
-    write_csv(args.out, header, rows)
+    write_rows(args.out, header, rows)
     if args.gnuplot:
         Path(args.gnuplot).write_text(gnuplot_script(args.out, header))
     return 0

@@ -86,13 +86,6 @@ class QuadraticObjective:
             values[name] = float(value)
         return QuadraticObjective(**values)
 
-    def to_dict(self) -> dict:
-        return {
-            f.name: float(getattr(self, f.name))
-            for f in fields(self)
-            if getattr(self, f.name) != 0.0
-        }
-
     @staticmethod
     def from_square(
         x: float = 0.0,

@@ -32,11 +32,19 @@ class InvalidDistribution(ToolkitError, ValueError):
 
 
 class NoRoot(ToolkitError, ArithmeticError):
-    """A bracketing search found no sign change on the feasible interval."""
+    """A closed-form root leaves the model invalid.
+
+    Raised by ``side_info.find_matched_rho_xw`` when the matched rho_x_w
+    falls outside the interval that keeps the covariance positive definite.
+    """
 
 
 class InfeasibleInterval(ToolkitError, ArithmeticError):
-    """The feasible parameter interval for a root search is empty."""
+    """No value of a free parameter keeps the model positive definite.
+
+    Raised by ``side_info.feasible_rho_xw_interval`` when the determinant,
+    a downward parabola in rho_x_w, has no positive part.
+    """
 
 
 class NonCanonicalizable(ToolkitError, ValueError):

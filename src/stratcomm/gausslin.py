@@ -146,16 +146,17 @@ def validate_model(model: Model) -> ValidationReport:
     if model.sigma_x2 <= 0.0:
         violations.append("sigma_x2: must be positive")
 
+    # x * x overflows to inf where x**2 raises, and "not ... > tol" fails a NaN minor
     if isinstance(model, SourcePairModel):
         tol = PSD_RTOL * (1.0 + model.r)
-        if model.r - model.rho**2 <= tol:
+        if not model.r - model.rho * model.rho > tol:
             violations.append("r: r must exceed rho^2")
     else:
         tol = PSD_RTOL * (1.0 + model.r_theta + model.r_w)  # trace of the normalized covariance
-        if model.r_theta - model.rho_x_theta**2 <= tol:
+        if not model.r_theta - model.rho_x_theta * model.rho_x_theta > tol:
             violations.append("r_theta: r_theta must exceed rho_x_theta^2 (leading principal minor 2)")
         det = _si_det(model)
-        if det <= tol:
+        if not det > tol:
             violations.append(f"covariance: leading principal minor 3 not positive (det = {det:.6g})")
 
     return ValidationReport(not violations, tuple(violations))

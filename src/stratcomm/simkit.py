@@ -14,7 +14,6 @@ once and iterates on the bins x bins table of joint counts.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,13 +54,6 @@ class SampleTable:
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, self.columns.index(name)]
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.data:
-                writer.writerow([repr(float(v)) for v in row])
 
 
 @dataclass(frozen=True)

@@ -432,7 +432,7 @@ def lloyd_max(
         thresholds=t * sd,
         centroids=centroids * sd,
         source_var=float(source_var),
-        mse=mse_std * source_var,
+        mse=float(mse_std * source_var),
         iterations=iterations,
     )
 

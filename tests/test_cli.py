@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,8 @@ def test_sim_block_reports_z_scores(write_scenario, capsys):
             {"schema": 1, "kind": "noiseless", "model": {"rho": 0.0, "r": 1.0}, "sim": {"seed": 4, "n": 10, "bins": 64}},
             "bins",
         ),
+        ({"schema": 1, "kind": ["rd"], "model": {}}, "kind: expected one of"),
+        ({"schema": 1, "kind": {"rd": 1}, "model": {}}, "kind: expected one of"),
     ],
 )
 def test_schema_violations_exit_one(write_scenario, capsys, payload, needle):
@@ -207,6 +210,30 @@ def test_samples_flag_follows_the_sim_rule(write_scenario, capsys, kind):
         assert code == 1
         assert err.startswith("error: sim:")
         assert f"'{kind}'" in err
+
+
+@pytest.mark.parametrize(
+    "kind, model, field",
+    [
+        ("noiseless", {"rho": 1e160, "r": 1.0}, "r"),
+        ("si_noiseless", {"rho_x_theta": 0.0, "r_theta": 1.0, "rho_x_w": -1e308, "rho_theta_w": -2.5e50, "r_w": 1.0}, "covariance"),
+        ("si_noiseless", {"rho_x_theta": 0.0, "r_theta": 1.0, "rho_x_w": 1e160, "rho_theta_w": 1e160, "r_w": 1.0}, "covariance"),
+        ("si_noiseless", {"rho_x_theta": 0.0, "r_theta": 1.0, "rho_x_w": -1e200, "rho_theta_w": 1e200, "r_w": 1.0}, "covariance"),
+        ("si_noiseless", {"rho_x_theta": 0.0, "r_theta": 1.0, "rho_x_w": 1e200, "rho_theta_w": -1e200, "r_w": 1.0}, "covariance"),
+    ],
+)
+def test_overflowing_minors_exit_one(write_scenario, capsys, kind, model, field):
+    # these used to exit 2 on an OverflowError, or 0 with NaN in the report
+    code = _run(["solve", "--scenario", write_scenario({"schema": 1, "kind": kind, "model": model})])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: InvalidModel: {field}:")
+
+
+def test_readme_lists_the_kinds_in_table_order():
+    # the "kind: expected one of ..." message prints the table's order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = readme[readme.index("* `kind` is one of ") :].split(".\n", 1)[0]
+    assert re.findall(r"`(\w+)`", line)[1:] == list(cli._KINDS)
 
 
 def test_invalid_model_exit_one(write_scenario, capsys):

@@ -88,6 +88,26 @@ def test_side_info_determinant_at_the_tolerance(excess, ok):
     assert ok or any("minor 3" in v for v in report.violations)
 
 
+# Models whose minors overflow: rho**2 used to raise OverflowError, and a
+# NaN determinant used to pass "det <= tol" unflagged.
+OVERFLOWING_MODELS = [
+    SourcePairModel(1.0, 1e160, 1.0),
+    SideInfoModel(1.0, 0.0, 1.0, -1e308, -2.5e50, 1.0),
+    SideInfoModel(1.0, 0.0, 1.0, 1e160, 1e160, 1.0),
+    SideInfoModel(1.0, 0.0, 1.0, -1e200, 1e200, 1.0),
+    SideInfoModel(1.0, 0.0, 1.0, 1e200, -1e200, 1.0),
+]
+
+
+@pytest.mark.parametrize("model", OVERFLOWING_MODELS)
+def test_validate_is_total_on_overflowing_minors(model):
+    report = validate_model(model)
+    assert not report.ok
+    assert report.violations[0].split(":")[0] in ("r", "r_theta", "covariance")
+    with pytest.raises(InvalidModel):
+        require_valid(model)
+
+
 def test_mmse_matches_lstsq_oracle():
     rng = np.random.default_rng(3)
     covs = [a @ a.T + 0.5 * np.eye(4) for a in rng.normal(size=(20, 4, 4))]

@@ -277,6 +277,11 @@ def test_sixteen_level_quantizer_matches_quadrature_oracle():
     assert lloyd_max(16, 1.0).mse == pytest.approx(LLOYD16_MSE, abs=1e-9)
 
 
+def test_quantizer_mse_is_a_python_float():
+    # a numpy scalar reprs as np.float64(...) under numpy 2 and as a bare number under 1.x
+    assert type(lloyd_max(16, 1.0).mse) is float
+
+
 def test_quantizer_scaling_and_monotonicity():
     base = lloyd_max(8, 1.0)
     scaled = lloyd_max(8, 2.5)

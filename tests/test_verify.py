@@ -4,6 +4,7 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import stratcomm.side_info as side_info
@@ -37,6 +38,14 @@ def test_suite_is_deterministic():
 def test_unknown_profile_rejected():
     with pytest.raises(ValueError):
         verify.run_suite("exhaustive")
+
+
+def test_codec_detail_prints_plain_floats():
+    # the --full report's bytes must not depend on how numpy reprs its scalars
+    check = next(fn for name, _, fn in verify._CHECKS if name == "codec_matches_analysis")
+    detail = check(np.random.default_rng(0))[3]
+    assert detail.startswith("predicted d_e=0.")
+    assert "np." not in detail
 
 
 def test_battery_catches_skipped_conditioning(monkeypatch):
