@@ -1,7 +1,11 @@
 """Linearity classification and solution of canonical quadratic control games."""
 
 import math
+import random
+import struct
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import pytest
 from stratcomm.control_games import (
     CanonicalForm,
     QuadraticObjective,
+    _close,
     canonicalize,
     classification_report,
     expand_canonical,
@@ -488,3 +493,124 @@ def test_extreme_games_stay_finite_and_no_worse_than_the_scan():
     games += [(1.03e-185, -0.166, 0.040, 3.48e141, 5.66e170, -1.29e-142, 3.46, 0.0),
               (1.14e-3, -0.397, 0.170, 1.13e-10, 9.8e-237, 2.75e-132, 0.0, 0.0)]
     _assert_no_worse_than_the_scan(games)
+
+
+# ---------------------------------------------------------------------------
+# Second route: the former canonicalize, which stated the accepted family as
+# eleven hand-written relations in two tables.
+
+
+def _relation_table_canonicalize(phi_e, phi_d):
+    if has_ux_cross_term(phi_e):
+        raise CrossTermPresent(
+            "controller cost contains a U*Xhat product; no linearity claim is "
+            "made for that family"
+        )
+    if has_ux_cross_term(phi_d):
+        raise CrossTermPresent(
+            "receiver cost contains a U*Xhat product; no linearity claim is "
+            "made for that family"
+        )
+
+    td = phi_d.xhat2
+    if td <= 0.0:
+        raise NonCanonicalizable("receiver cost: Xhat^2 coefficient must be positive")
+    checks_d = {
+        "X^2 == Xhat^2": _close(phi_d.x2, td),
+        "X*Xhat == -2*Xhat^2": _close(phi_d.x_xhat, -2.0 * td),
+        "no theta^2 term": _close(phi_d.theta2, 0.0),
+        "no X*theta term": _close(phi_d.x_theta, 0.0),
+        "no theta*Xhat term": _close(phi_d.theta_xhat, 0.0),
+        "no X*U term": _close(phi_d.x_u, 0.0),
+        "no theta*U term": _close(phi_d.theta_u, 0.0),
+    }
+    bad = [name for name, ok in checks_d.items() if not ok]
+    if bad:
+        raise NonCanonicalizable(
+            "receiver cost must be a positive multiple of (X - Xhat)^2 plus "
+            "U-only terms; violated: " + ", ".join(bad)
+        )
+
+    te = phi_e.xhat2
+    if te <= 0.0:
+        raise NonCanonicalizable("controller cost: Xhat^2 coefficient must be positive")
+    k = phi_e.x_theta / (2.0 * te)
+    checks_e = {
+        "X^2 == Xhat^2": _close(phi_e.x2, te),
+        "X*Xhat == -2*Xhat^2": _close(phi_e.x_xhat, -2.0 * te),
+        "theta^2 == k^2*Xhat^2": _close(phi_e.theta2, te * k * k),
+        "theta*Xhat == -2*k*Xhat^2": _close(phi_e.theta_xhat, -2.0 * te * k),
+    }
+    bad = [name for name, ok in checks_e.items() if not ok]
+    if bad:
+        raise NonCanonicalizable(
+            "controller cost must reduce to a positive multiple of "
+            "(X + k*theta - Xhat)^2 plus U^2, U*X, U*theta terms; violated: "
+            + ", ".join(bad)
+        )
+    k1 = phi_e.u2 / te
+    if k1 <= 0.0:
+        raise NonCanonicalizable(
+            "controller cost: U^2 coefficient must be positive after "
+            f"normalization (got {k1!r})"
+        )
+    return CanonicalForm(k1=k1, k2=phi_e.x_u / te, k3=phi_e.theta_u / te, theta_weight=k)
+
+
+def _perturbed_tables(seed, count):
+    """`count` objective pairs with finite coefficients: a seeded canonical form
+    re-expanded at scales out to 1e+-300, with zero to two coefficients then
+    nudged by 1e-12, 1e-8 or 1e-3 or replaced outright."""
+    rng = random.Random(seed)
+    names = [f.name for f in fields(QuadraticObjective)]
+    targets = names[:10] * 3 + names[10:]  # mostly quadratic monomials
+
+    def magnitude():
+        return rng.choice((1e-300, 1e300, 10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-3.0, 3.0)))
+
+    def signed():
+        return rng.choice((0.0, rng.gauss(0.0, 2.0), rng.choice((-1.0, 1.0)) * magnitude()))
+
+    made = 0
+    while made < count:
+        te, td = magnitude(), magnitude()
+        # |k| out to where te*k^2 leaves the float range, past 1e154 once te < 1
+        top = (308.0 - math.log10(te)) / 2.0
+        k = rng.choice((0.0, rng.gauss(0.0, 2.0), rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, top)))
+        cf = CanonicalForm(k1=10.0 ** rng.uniform(-6.0, 6.0), k2=signed() / te, k3=signed() / te, theta_weight=k)
+        if rng.random() < 0.5:  # t * (k*k), or (t*k) * k from the scaled square
+            phi_e, phi_d = expand_canonical(cf)
+            tables = [vars(phi_e.scaled(te)), vars(phi_d.scaled(td))]
+        else:
+            phi_e = _tracking_pair(k, cf.k1, cf.k2, cf.k3, scale=te)[0]
+            tables = [vars(phi_e), vars(QuadraticObjective.from_square(x=1.0, xhat=-1.0, scale=td))]
+        tables = [table.copy() for table in tables]
+        tables[1]["u2"] = signed()  # the receiver's U^2 is free
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            table, name = rng.choice(tables), rng.choice(targets)
+            if rng.random() < 0.6:
+                eps = rng.choice((1e-12, 1e-8, 1e-3)) * rng.choice((-1.0, 1.0))
+                table[name] = table[name] * (1.0 + eps) if table[name] else eps * table["xhat2"]
+            else:
+                table[name] = rng.choice((0.0, -table[name], signed()))
+        if all(math.isfinite(v) for table in tables for v in table.values()):
+            made += 1
+            yield QuadraticObjective(**tables[0]), QuadraticObjective(**tables[1])
+
+
+def _outcome(rule, phi_e, phi_d):
+    """The canonical form's bytes, or the class of the refusal."""
+    try:
+        cf = rule(phi_e, phi_d)
+    except Exception as exc:
+        return type(exc)
+    return struct.pack("<4d", *astuple(cf))
+
+
+def test_canonicalize_agrees_with_the_relation_tables():
+    seen = Counter()
+    for phi_e, phi_d in _perturbed_tables(seed=19, count=10_000):
+        outcome = _outcome(canonicalize, phi_e, phi_d)
+        assert outcome == _outcome(_relation_table_canonicalize, phi_e, phi_d), (phi_e, phi_d)
+        seen[outcome if isinstance(outcome, type) else CanonicalForm] += 1
+    assert min(seen[kind] for kind in (CanonicalForm, NonCanonicalizable, CrossTermPresent)) >= 500, seen
