@@ -473,10 +473,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _effective_sim(scn: Scenario, seed: int | None, samples: int | None):
     """The scenario's sim block with the --seed and --samples overrides applied."""
-    if samples is None and (scn.sim is None or seed is None):
+    if seed is None and samples is None:
         return scn.sim
     if "sim" not in _KINDS[scn.kind].allowed:
         raise SchemaError(f"sim: not used for kind '{scn.kind}'")
+    if scn.sim is None and samples is None:
+        raise SchemaError("sim: --seed needs a sim block in the scenario or --samples")
     sim = scn.sim or simkit.SimConfig(seed=verify.DEFAULT_SEED, n=samples)
     return _parse_sim({
         "seed": sim.seed if seed is None else seed,
@@ -523,7 +525,7 @@ def _cmd_sweep(args) -> int:
     if args.panel == "custom":
         if not args.scenario:
             raise SchemaError("scenario: --scenario is required for the custom panel")
-        scn = load_scenario(args.scenario, rate_units=args.rate_units)
+        scn = load_scenario(args.scenario)
         if scn.kind != "noisy":
             raise SchemaError(f"kind: the custom panel needs a 'noisy' scenario, got '{scn.kind}'")
         model = scn.model
@@ -608,9 +610,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--hi", type=float, default=None, help="grid upper bound")
     sweep.add_argument("--scenario", default=None, help="noisy scenario for the custom panel")
     sweep.add_argument("--gnuplot", default=None, help="also write a gnuplot script here")
-    sweep.add_argument(
-        "--rate-units", choices=("bits", "nats"), default="bits", dest="rate_units"
-    )
     sweep.set_defaults(func=_cmd_sweep)
 
     check = sub.add_parser("verify", help="run the named self-check battery")

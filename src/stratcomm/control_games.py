@@ -14,10 +14,10 @@ cost (X + U - Xhat)^2, whose expansion contains -2*U*Xhat), nonlinear
 strategies can dominate and this module refuses to solve rather than return
 a misleading linear answer.
 
-The canonicalizer is deliberately conservative: it pattern-matches the exact
-tracking form and rejects anything else.  Linear monomials and constants are
-dropped: every variable is zero mean, so they contribute nothing to either
-expectation within the model class handled here.
+The canonicalizer is deliberately conservative: it reads the form off the
+costs, re-expands it and rejects anything that does not match.  Linear
+monomials and constants are dropped: every variable is zero mean, so they
+contribute nothing to either expectation within the model class handled here.
 
 A canonical game reduces to the disclosure game it extends, and one root
 solve gives its optimum (see :func:`solve_canonical`).
@@ -26,13 +26,13 @@ solve gives its optimum (see :func:`solve_canonical`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .equilibrium import _linear_costs, _signal_ratio
 from .errors import CrossTermPresent, NonCanonicalizable, Unbounded
-from .gausslin import PSD_RTOL, LinearScheme, SourcePairModel, require_valid
+from .gausslin import PSD_RTOL, LinearScheme, SourcePairModel, _require_finite, require_valid
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
@@ -45,6 +45,9 @@ _KEY_ALIASES = {
     "ux_hat": "u_xhat",
     "x_hat": "xhat",
 }
+
+# The quadratic monomials, in field order: what canonicalize compares.
+_QUADRATIC = ("x2", "theta2", "u2", "xhat2", "x_theta", "x_u", "x_xhat", "theta_u", "theta_xhat", "u_xhat")
 
 
 @dataclass(frozen=True)
@@ -146,85 +149,58 @@ def _close(a: float, b: float) -> bool:
 def canonicalize(phi_e: QuadraticObjective, phi_d: QuadraticObjective) -> CanonicalForm:
     """Reduce an objective pair to the canonical form, or refuse.
 
-    Accepted shape (up to positive scaling, linear monomials and constants,
-    which are dropped under the zero-mean convention):
-
-    * controller: t * [(X + k*theta - Xhat)^2 + k1*U^2 + k2*U*X + k3*U*theta]
-      with t > 0 and k1 > 0;
-    * receiver: t' * (X - Xhat)^2 plus terms in U alone, with t' > 0.
+    With t and t' the controller's and receiver's Xhat^2 coefficients, the
+    form cf = (k, k1, k2, k3) is read off the controller's X*theta, U^2, U*X
+    and U*theta coefficients, and the accepted family is: controller
+    t * expand_canonical(cf)[0] = t * [(X + k*theta - Xhat)^2 + k1*U^2 +
+    k2*U*X + k3*U*theta], receiver t' * expand_canonical(cf)[1] =
+    t' * (X - Xhat)^2 plus U-only terms, with t, t', k1 > 0, up to linear
+    monomials and constants (dropped under the zero-mean convention).
 
     Raises :class:`CrossTermPresent` when either cost contains a U*Xhat
     product and :class:`NonCanonicalizable` for any other shape mismatch.
     """
-    if has_ux_cross_term(phi_e):
-        raise CrossTermPresent(
-            "controller cost contains a U*Xhat product; no linearity claim is "
-            "made for that family"
-        )
-    if has_ux_cross_term(phi_d):
-        raise CrossTermPresent(
-            "receiver cost contains a U*Xhat product; no linearity claim is "
-            "made for that family"
-        )
-
-    td = phi_d.xhat2
+    for who, phi in (("controller", phi_e), ("receiver", phi_d)):
+        if has_ux_cross_term(phi):
+            raise CrossTermPresent(
+                f"{who} cost contains a U*Xhat product; no linearity claim is made for that family"
+            )
+    te, td = phi_e.xhat2, phi_d.xhat2
     if td <= 0.0:
         raise NonCanonicalizable("receiver cost: Xhat^2 coefficient must be positive")
-    checks_d = {
-        "X^2 == Xhat^2": _close(phi_d.x2, td),
-        "X*Xhat == -2*Xhat^2": _close(phi_d.x_xhat, -2.0 * td),
-        "no theta^2 term": _close(phi_d.theta2, 0.0),
-        "no X*theta term": _close(phi_d.x_theta, 0.0),
-        "no theta*Xhat term": _close(phi_d.theta_xhat, 0.0),
-        "no X*U term": _close(phi_d.x_u, 0.0),
-        "no theta*U term": _close(phi_d.theta_u, 0.0),
-    }
-    bad = [name for name, ok in checks_d.items() if not ok]
-    if bad:
-        raise NonCanonicalizable(
-            "receiver cost must be a positive multiple of (X - Xhat)^2 plus "
-            "U-only terms; violated: " + ", ".join(bad)
-        )
-
-    te = phi_e.xhat2
+    s = te or math.nan  # te = 0 is refused below, after the receiver's shape
+    k = phi_e.x_theta / (2.0 * s)
+    cf = CanonicalForm(k1=phi_e.u2 / s, k2=phi_e.x_u / s, k3=phi_e.theta_u / s, theta_weight=k)
+    # the scale goes into the expansion, which forms t*k*k as (t*k)*k: finite where k*k overflows
+    _require_match(phi_d, expand_canonical(cf, td)[1], ("xhat2", "u2"),
+                   "receiver cost must be a positive multiple of (X - Xhat)^2 plus U-only terms")
     if te <= 0.0:
         raise NonCanonicalizable("controller cost: Xhat^2 coefficient must be positive")
-    k = phi_e.x_theta / (2.0 * te)
-    checks_e = {
-        "X^2 == Xhat^2": _close(phi_e.x2, te),
-        "X*Xhat == -2*Xhat^2": _close(phi_e.x_xhat, -2.0 * te),
-        "theta^2 == k^2*Xhat^2": _close(phi_e.theta2, te * k * k),
-        "theta*Xhat == -2*k*Xhat^2": _close(phi_e.theta_xhat, -2.0 * te * k),
-    }
-    bad = [name for name, ok in checks_e.items() if not ok]
+    _require_match(phi_e, expand_canonical(cf, te)[0], ("xhat2", "x_theta", "u2", "x_u", "theta_u"),
+                   "controller cost must reduce to a positive multiple of "
+                   "(X + k*theta - Xhat)^2 plus U^2, U*X, U*theta terms")
+    if cf.k1 <= 0.0:
+        raise NonCanonicalizable(
+            f"controller cost: U^2 coefficient must be positive after normalization (got {cf.k1!r})"
+        )
+    return cf
+
+
+def _require_match(phi: QuadraticObjective, expansion: QuadraticObjective, read_off: tuple, shape: str) -> None:
+    """Refuse unless each quadratic monomial of phi, bar those read off, is _close to the expansion's."""
+    bad = [n for n in _QUADRATIC if n not in read_off and not _close(getattr(phi, n), getattr(expansion, n))]
     if bad:
-        raise NonCanonicalizable(
-            "controller cost must reduce to a positive multiple of "
-            "(X + k*theta - Xhat)^2 plus U^2, U*X, U*theta terms; violated: "
-            + ", ".join(bad)
-        )
-    k1 = phi_e.u2 / te
-    if k1 <= 0.0:
-        raise NonCanonicalizable(
-            "controller cost: U^2 coefficient must be positive after "
-            f"normalization (got {k1!r})"
-        )
-    return CanonicalForm(k1=k1, k2=phi_e.x_u / te, k3=phi_e.theta_u / te, theta_weight=k)
+        raise NonCanonicalizable(f"{shape}; mismatched: {', '.join(bad)}")
 
 
-def expand_canonical(cf: CanonicalForm) -> tuple[QuadraticObjective, QuadraticObjective]:
-    """Re-expand a canonical form into an objective pair (unit scaling)."""
-    k = cf.theta_weight
-    phi_e = QuadraticObjective.from_square(x=1.0, theta=k, xhat=-1.0) + QuadraticObjective(
-        u2=cf.k1, x_u=cf.k2, theta_u=cf.k3
-    )
-    phi_d = QuadraticObjective.from_square(x=1.0, xhat=-1.0)
-    return phi_e, phi_d
+def expand_canonical(cf: CanonicalForm, scale: float = 1.0) -> tuple[QuadraticObjective, QuadraticObjective]:
+    """Re-expand a canonical form into an objective pair, both costs times ``scale``."""
+    square = QuadraticObjective.from_square(x=1.0, theta=cf.theta_weight, xhat=-1.0, scale=scale)
+    phi_e = replace(square, u2=scale * cf.k1, x_u=scale * cf.k2, theta_u=scale * cf.k3)
+    return phi_e, QuadraticObjective.from_square(x=1.0, xhat=-1.0, scale=scale)
 
 
-def classification_report(
-    phi_e: QuadraticObjective, phi_d: QuadraticObjective
-) -> dict:
+def classification_report(phi_e: QuadraticObjective, phi_d: QuadraticObjective) -> dict:
     """JSON-ready linearity classification of an objective pair."""
     report: dict = {
         "controller_has_u_xhat_product": has_ux_cross_term(phi_e),
@@ -238,12 +214,7 @@ def classification_report(
         report["reason"] = str(exc)
         return report
     report["linear_solution_claimed"] = True
-    report["canonical"] = {
-        "k1": cf.k1,
-        "k2": cf.k2,
-        "k3": cf.k3,
-        "theta_weight": cf.theta_weight,
-    }
+    report["canonical"] = asdict(cf)
     return report
 
 
@@ -347,9 +318,7 @@ def solve_canonical(
     require_valid(model)
     if not (math.isfinite(noise_var) and noise_var >= 0.0):
         raise ValueError("noise_var: must be finite and nonnegative")
-    for name in ("k1", "k2", "k3", "theta_weight"):
-        if not math.isfinite(getattr(cf, name)):
-            raise ValueError(f"{name}: must be finite")
+    _require_finite(**vars(cf))
     if cf.k1 <= 0.0:
         raise Unbounded(f"U^2 penalty k1 = {cf.k1!r} is not coercive")
 

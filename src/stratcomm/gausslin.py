@@ -152,7 +152,8 @@ def validate_model(model: Model) -> ValidationReport:
         if not model.r - model.rho * model.rho > tol:
             violations.append("r: r must exceed rho^2")
     else:
-        tol = PSD_RTOL * (1.0 + model.r_theta + model.r_w)  # trace of the normalized covariance
+        # PSD_RTOL times the normalized trace, term by term: 1 + r_theta + r_w can overflow
+        tol = PSD_RTOL + PSD_RTOL * model.r_theta + PSD_RTOL * model.r_w
         if not model.r_theta - model.rho_x_theta * model.rho_x_theta > tol:
             violations.append("r_theta: r_theta must exceed rho_x_theta^2 (leading principal minor 2)")
         det = _si_det(model)

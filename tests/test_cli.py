@@ -212,6 +212,28 @@ def test_samples_flag_follows_the_sim_rule(write_scenario, capsys, kind):
         assert f"'{kind}'" in err
 
 
+@pytest.mark.parametrize("kind", list(_SECTION_RULES))
+def test_seed_flag_follows_the_sim_rule(write_scenario, capsys, kind):
+    allowed = _SECTION_RULES[kind][_SECTIONS.index("sim")] == "allowed"
+    bare = write_scenario(_minimal_scenario(kind))
+    # with no sim block and no --samples there is nothing to seed
+    assert _run(["solve", "--scenario", bare, "--seed", "11"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sim:")
+    assert allowed or f"'{kind}'" in err
+    code = _run(["solve", "--scenario", bare, "--seed", "11", "--samples", "256"])
+    out, err = capsys.readouterr()
+    if allowed:
+        assert code == 0, err
+        assert json.loads(out)["sim"]["seed"] == 11
+        assert _run(["solve", "--scenario", bare, "--seed", "-3", "--samples", "256"]) == 1
+        assert capsys.readouterr().err.startswith("error: sim.seed: must fit in an unsigned 64-bit integer")
+    else:
+        assert code == 1
+        assert err.startswith("error: sim:")
+        assert f"'{kind}'" in err
+
+
 @pytest.mark.parametrize(
     "kind, model, field",
     [

@@ -14,6 +14,7 @@ from stratcomm.control_games import (
     CanonicalForm,
     QuadraticObjective,
     _close,
+    _QUADRATIC,
     canonicalize,
     classification_report,
     expand_canonical,
@@ -98,6 +99,29 @@ def test_canonicalize_rejections():
     # negative scale flips the Xhat^2 sign
     with pytest.raises(NonCanonicalizable):
         canonicalize(phi_e.scaled(-1.0), phi_d)
+
+
+def test_the_compared_monomials_are_those_a_square_fills():
+    # a quadratic field added to QuadraticObjective, or reordered in it, must reach canonicalize
+    square = QuadraticObjective.from_square(1.0, 1.0, 1.0, 1.0)
+    assert _QUADRATIC == tuple(f.name for f in fields(QuadraticObjective) if getattr(square, f.name))
+
+
+def test_a_shape_refusal_names_the_mismatched_monomials():
+    phi_e, phi_d = _tracking_pair(k=0.5)
+    bent = QuadraticObjective(**{**vars(phi_e), "theta2": 1.0, "theta_xhat": 0.0})
+    with pytest.raises(NonCanonicalizable, match="mismatched: theta2, theta_xhat$"):
+        canonicalize(bent, phi_d)
+    with pytest.raises(NonCanonicalizable, match="^receiver cost must .* mismatched: x_u$"):
+        canonicalize(phi_e, phi_d + QuadraticObjective(x_u=0.1, u2=5.0))
+
+
+def test_a_theta_weight_past_1e154_is_read_back():
+    # the scale enters the expansion, so t*k*k = 1e300 is matched where k*k overflows
+    cf = CanonicalForm(k1=0.5, k2=0.0, k3=0.0, theta_weight=1e200)
+    phi_e, phi_d = expand_canonical(cf, 1e-100)
+    assert phi_e.theta2 == 1e300
+    assert canonicalize(phi_e, phi_d) == cf
 
 
 def test_objective_table_parsing_accepts_aliases():

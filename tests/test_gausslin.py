@@ -99,9 +99,17 @@ OVERFLOWING_MODELS = [
 ]
 
 
-@pytest.mark.parametrize("model", OVERFLOWING_MODELS)
+# Positive definite, with a trace past the float range: the tolerance used to
+# overflow with it and reject the model.
+HUGE_DIAGONAL = SideInfoModel(1.0, 0.0, 1e308, 0.0, 0.0, 1e308)
+
+
+@pytest.mark.parametrize("model", OVERFLOWING_MODELS + [HUGE_DIAGONAL])
 def test_validate_is_total_on_overflowing_minors(model):
     report = validate_model(model)
+    if model is HUGE_DIAGONAL:
+        assert report.ok, report.violations
+        return
     assert not report.ok
     assert report.violations[0].split(":")[0] in ("r", "r_theta", "covariance")
     with pytest.raises(InvalidModel):
