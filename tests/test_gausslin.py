@@ -1,6 +1,7 @@
 """Covariance-algebra layer: validation, MMSE weights, exact costs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from stratcomm.control_games import CanonicalForm, solve_canonical
 from stratcomm.equilibrium import solve_noiseless
 from stratcomm.errors import InvalidModel, SingularObservation
 from stratcomm.gausslin import (
+    PSD_RTOL,
     LinearScheme,
     SideInfoModel,
     SourcePairModel,
+    _moment_matrix,
     _si_det,
+    _signal_vectors,
     best_decoder,
     cross_moment,
     mmse_linear,
@@ -277,3 +281,88 @@ def test_entries_reject_non_finite_inputs(field, call, value):
     else:
         with pytest.raises(ValueError, match=field):
             call(value)
+
+
+# The former best_decoder, one scheme at a time through 4x4 moment algebra,
+# kept as the second route for the decoder oracle.
+def _scalar_mmse(cov, observed):
+    block = cov[np.ix_(observed, observed)]
+    cross = cov[observed, 0]
+    scale = np.sqrt(np.diag(block))
+    if not np.all(scale > 0.0):
+        raise SingularObservation("observation covariance has a variance that is not positive")
+    unit = block / np.outer(scale, scale)
+    tol = PSD_RTOL * len(observed)
+    eigs = np.linalg.eigvalsh((unit + unit.T) / 2.0)
+    if eigs.min() <= tol:
+        raise SingularObservation(
+            f"observation covariance scaled to unit diagonal has eigenvalue {eigs.min():.3g} <= {tol:.3g}"
+        )
+    return np.linalg.solve(unit, cross / scale) / scale
+
+
+def _per_scheme_best_decoder(model, scheme, channel_noise_var=0.0):
+    require_valid(model)
+    k = _moment_matrix(model, scheme, channel_noise_var)
+    sig = _signal_vectors(scheme)
+
+    def m(u, v):
+        return float(u @ k @ v)
+
+    var_y = m(sig["y"], sig["y"])
+    names = []
+    if var_y > PSD_RTOL * max(model.sigma_x2, var_y):
+        names.append("y")
+    if isinstance(model, SideInfoModel):
+        names.append("w")
+    dims = ["x"] + names
+    cov = np.array([[m(sig[a], sig[b]) for b in dims] for a in dims])
+    weights = _scalar_mmse(cov, list(range(1, len(dims)))) if names else np.zeros(0)
+    dec_y = weights[names.index("y")] if "y" in names else 0.0
+    dec_w = weights[names.index("w")] if "w" in names else 0.0
+    solved = replace(scheme, dec_y_weight=float(dec_y), dec_w_weight=float(dec_w))
+    return solved, scheme_costs(model, solved, channel_noise_var)
+
+
+def _oracle_cases(seed, n_models=60, per_model=8):
+    """Seeded (model, schemes, channel noises): pair and side-information models, encoders with and
+    without gain (a dropped Y), encoder noise, W in the signal and channel noise."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n_models):
+        if i % 2:
+            rho = float(rng.uniform(-0.85, 0.85))
+            model = SourcePairModel(float(rng.uniform(0.25, 4.0)), rho, rho * rho + float(rng.uniform(0.05, 2.5)))
+        else:
+            a = rng.normal(size=(3, 3))
+            c = a @ a.T + 0.2 * np.eye(3)
+            c = c / c[0, 0]
+            model = SideInfoModel(float(rng.uniform(0.25, 4.0)), c[0, 1], c[1, 1], c[0, 2], c[1, 2], c[2, 2])
+        schemes, noises = [], []
+        for _ in range(per_model):
+            schemes.append(LinearScheme(
+                enc_gain=0.0 if rng.random() < 0.2 else float(rng.uniform(-3.0, 3.0)),
+                enc_theta_weight=float(rng.uniform(-2.0, 2.0)),
+                enc_si_weight=float(rng.uniform(-1.0, 1.0)) if rng.random() < 0.5 else 0.0,
+                enc_noise_var=float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else 0.0,
+            ))
+            noises.append(float(rng.uniform(0.0, 3.0)) if rng.random() < 0.5 else 0.0)
+        cases.append((model, schemes, noises))
+    return cases
+
+
+def test_best_decoder_matches_the_per_scheme_route():
+    dropped = 0
+    for model, schemes, noises in _oracle_cases(2020):
+        for scheme, noise in zip(schemes, noises):
+            solved, costs = best_decoder(model, scheme, noise)
+            ref_solved, ref_costs = _per_scheme_best_decoder(model, scheme, noise)
+            dropped += ref_solved.dec_y_weight == 0.0
+            for got, want in (
+                (solved.dec_y_weight, ref_solved.dec_y_weight),
+                (solved.dec_w_weight, ref_solved.dec_w_weight),
+                (costs.d_e, ref_costs.d_e),
+                (costs.d_d, ref_costs.d_d),
+            ):
+                assert abs(got - want) <= 1e-15 * abs(want)
+    assert dropped > 0
