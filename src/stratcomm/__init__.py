@@ -29,6 +29,7 @@ from .gausslin import (
     SourcePairModel,
     ValidationReport,
     best_decoder,
+    best_decoders,
     cross_moment,
     mmse_linear,
     no_information_costs,

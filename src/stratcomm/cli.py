@@ -34,7 +34,7 @@ import numpy as np
 
 from . import simkit, verify
 from ._csvio import write_rows
-from .control_games import QuadraticObjective, classification_report, solve_objectives
+from .control_games import QuadraticObjective, _classification, _solve_form, canonicalize
 from .equilibrium import _linear_costs, _stationary_weight, solve_noiseless
 from .errors import (
     InvalidDistribution,
@@ -321,13 +321,14 @@ def _payload_si_match(scn: Scenario, sim, classify_only: bool) -> dict:
 def _payload_control(scn: Scenario, sim, classify_only: bool) -> dict:
     phi_e, phi_d = scn.objectives
     noise_var = scn.channel.noise_var if scn.channel else 0.0
-    payload: dict = {
-        "noise_var": noise_var,
-        "classification": classification_report(phi_e, phi_d),
-    }
-    if classify_only and not payload["classification"]["linear_solution_claimed"]:
-        return payload
-    cf, scheme, raw_e, raw_d = solve_objectives(scn.model, phi_e, phi_d, noise_var)
+    try:
+        cf = canonicalize(phi_e, phi_d)
+    except NonCanonicalizable as exc:
+        if not classify_only:
+            raise
+        return {"noise_var": noise_var, "classification": _classification(phi_e, phi_d, exc)}
+    payload: dict = {"noise_var": noise_var, "classification": _classification(phi_e, phi_d, cf)}
+    scheme, raw_e, raw_d = _solve_form(scn.model, cf, phi_e, phi_d, noise_var)
     payload["solution"] = {
         "gain": scheme.enc_gain,
         "theta_weight": scheme.enc_theta_weight,

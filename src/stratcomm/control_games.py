@@ -202,24 +202,33 @@ def expand_canonical(cf: CanonicalForm, scale: float = 1.0) -> tuple[QuadraticOb
 
 def classification_report(phi_e: QuadraticObjective, phi_d: QuadraticObjective) -> dict:
     """JSON-ready linearity classification of an objective pair."""
+    try:
+        outcome = canonicalize(phi_e, phi_d)
+    except NonCanonicalizable as exc:
+        outcome = exc
+    return _classification(phi_e, phi_d, outcome)
+
+
+def _classification(
+    phi_e: QuadraticObjective, phi_d: QuadraticObjective, outcome: CanonicalForm | NonCanonicalizable
+) -> dict:
+    """:func:`classification_report` from the pair's canonical form or its refusal."""
     report: dict = {
         "controller_has_u_xhat_product": has_ux_cross_term(phi_e),
         "receiver_has_u_xhat_product": has_ux_cross_term(phi_d),
         "linear_solution_claimed": False,
         "canonical": None,
     }
-    try:
-        cf = canonicalize(phi_e, phi_d)
-    except NonCanonicalizable as exc:
-        report["reason"] = str(exc)
+    if isinstance(outcome, NonCanonicalizable):
+        report["reason"] = str(outcome)
         return report
     report["linear_solution_claimed"] = True
-    report["canonical"] = asdict(cf)
+    report["canonical"] = asdict(outcome)
     return report
 
 
 def _noiseless_power(k1: float) -> float:
-    # |z| sent for an unattained noiseless infimum or below the decoder's floor: k1*|z|^2 = 1e-7, |z|^2 >= 1e-10
+    # |z| sent for an unattained noiseless infimum or in place of a weaker signal: k1*|z|^2 = 1e-7, |z|^2 >= 1e-10
     return math.sqrt(max(1e-7 / k1, 1e-10))
 
 
@@ -309,9 +318,9 @@ def solve_canonical(
     When N = 0 and the optimum is not attained, as in every k2 = k3 = 0
     game, the infimum is the limit c -> 0+; the gain returned sends
     v = 1e-7*sigma_x2/k1, within 1e-7*sigma_x2 of it (v = 1e-10*sigma_x2
-    for k1 > 1000, above the decoder's floor).  The same v replaces an
-    optimal signal too weak for the decoder to keep, unless it costs more
-    than sending nothing.
+    for k1 > 1000).  The same v replaces a weaker optimal signal whose
+    power plus noise is below 1e-12*sigma_x2, unless it costs more than
+    sending nothing.
 
     Raises :class:`OverflowError` when the gain or a cost is not finite.
     """
@@ -336,7 +345,7 @@ def solve_canonical(
     l1, l0, nu, floor = lx * e1 + lt * e2, lt * e1 - lx * e2, n / tau / tau, _noiseless_power(cf.k1) / tau
     w1, w0 = _signal(m1, m0, l1, l0, nu)
     t = math.hypot(w1, w0)
-    # Raise to the floor a noiseless optimum, attained or not, or a signal the decoder would drop.
+    # Raise to the floor a noiseless optimum, attained or not, or a signal whose power plus noise is below PSD_RTOL.
     if t < floor and (nu == 0.0 or 0.0 < t and tau * t * tau * t + n <= PSD_RTOL):
         w1, w0 = (w1 * floor / t, w0 * floor / t) if t else (floor, 0.0)
     if (w1 or w0) and _cost(w1, w0, m1, m0, l1, l0, nu) >= 0.0:  # the floor costs more than it gains
@@ -370,8 +379,19 @@ def solve_objectives(
     receiver's U-only terms (which never influence the solution itself).
     """
     cf = canonicalize(phi_e, phi_d)
+    return (cf, *_solve_form(model, cf, phi_e, phi_d, noise_var))
+
+
+def _solve_form(
+    model: SourcePairModel,
+    cf: CanonicalForm,
+    phi_e: QuadraticObjective,
+    phi_d: QuadraticObjective,
+    noise_var: float,
+) -> tuple[LinearScheme, float, float]:
+    """:func:`solve_objectives` for a pair whose canonical form ``cf`` is already known."""
     scheme, j_e, j_d = solve_canonical(model, cf, noise_var)
     u2 = model.sigma_x2 * scheme.enc_gain**2 * _signal_ratio(model.rho, model.r, scheme.enc_theta_weight)
     raw_e = phi_e.xhat2 * j_e + phi_e.const
     raw_d = phi_d.xhat2 * j_d + phi_d.u2 * u2 + phi_d.const
-    return cf, scheme, float(raw_e), float(raw_d)
+    return scheme, float(raw_e), float(raw_d)

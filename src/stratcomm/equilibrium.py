@@ -79,15 +79,17 @@ def _linear_costs(rho, r, alpha, gain2, t, n):
 
     Arguments broadcast and, like the costs, are per unit sigma_x2: gain2 =
     c^2, t and n the variances of T and N.  kappa is c times the weight on
-    Y.  As in the oracle decoder, Y is dropped when Var(Y) <= PSD_RTOL *
-    max(sigma_x2, Var(Y)), so t = inf gives the no-information costs and
-    gain2 = 0 the prior point.  Floats in give floats out, with no numpy
-    call; arrays in give arrays, equal to the float route bit for bit.
+    Y.  As in the oracle decoder, Y is dropped when its signal power
+    c^2*Var(X + alpha*theta) is at most PSD_RTOL * Var(Y), a test in Y's
+    own units, so t = inf gives the no-information costs and gain2 = 0 the
+    prior point.  Floats in give floats out, with no numpy call; arrays in
+    give arrays, equal to the float route bit for bit.
     """
     cov_xs = 1.0 + alpha * rho  # Cov(X, X + alpha*theta) / sigma_x2
     cov_ts = rho + alpha * r  # Cov(theta, X + alpha*theta) / sigma_x2
-    var_y = gain2 * _signal_ratio(rho, r, alpha) + t + n
-    keep = var_y > PSD_RTOL * _select(var_y > 1.0, var_y, 1.0)
+    signal = gain2 * _signal_ratio(rho, r, alpha)
+    var_y = signal + t + n
+    keep = signal > PSD_RTOL * var_y
     kappa = _select(keep, gain2 * cov_xs / _select(keep, var_y, 1.0), 0.0)
     d_d = 1.0 - kappa * cov_xs
     return kappa, d_d + 2.0 * (rho - kappa * cov_ts) + r, d_d

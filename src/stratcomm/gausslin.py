@@ -10,6 +10,12 @@ diagonal and solved directly, so results are deterministic to the last bit.
 It is the independent route that the solvers' closed-form costs
 (``equilibrium._linear_costs``) are checked against.
 
+``best_decoders`` propagates many encoders of one model at once: one stack
+of 5x5 moment matrices, one stacked singularity test and one stacked solve.
+Each entry is rounded as for that scheme alone, so a scheme's weights and
+costs do not depend on the stack it comes in; ``best_decoder`` is its
+one-scheme case and ``mmse_linear`` shares its scaled solve.
+
 Conventions
 -----------
 * ``SourcePairModel(sigma_x2, rho, r)`` is Cov(X, theta) =
@@ -218,33 +224,49 @@ def mmse_linear(
     observed = tuple(int(i) for i in observed)
     if len(observed) == 0:
         return np.zeros(0), max(0.0, float(cov[target, target]))
-    block = cov[np.ix_(observed, observed)]
     cross = cov[list(observed), target]
-    scale = np.sqrt(np.diag(block))
-    if not np.all(scale > 0.0):
-        raise SingularObservation("observation covariance has a variance that is not positive")
-    unit = block / np.outer(scale, scale)
-    tol = PSD_RTOL * len(observed)
-    eigs = np.linalg.eigvalsh((unit + unit.T) / 2.0)
-    if eigs.min() <= tol:
-        raise SingularObservation(
-            f"observation covariance scaled to unit diagonal has eigenvalue {eigs.min():.3g} <= {tol:.3g}"
-        )
-    weights = np.linalg.solve(unit, cross / scale) / scale
+    weights = _scaled_solve(cov[np.ix_(observed, observed)][None], cross[None])[0]
     err_var = float(cov[target, target] - weights @ cross)
     return weights, max(0.0, err_var)
 
 
+def _scaled_solve(block: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Solve block @ w = cross for a stack of observation blocks, each scaled to unit diagonal.
+
+    Raises :class:`SingularObservation` for the first block with a variance
+    that is not positive, or with a unit-diagonal eigenvalue at or below
+    ``PSD_RTOL`` times its dimension.
+    """
+    scale = np.sqrt(np.diagonal(block, axis1=1, axis2=2))
+    if not np.all(scale > 0.0):
+        raise SingularObservation("observation covariance has a variance that is not positive")
+    unit = block / (scale[:, :, None] * scale[:, None, :])
+    tol = PSD_RTOL * block.shape[1]
+    low = np.linalg.eigvalsh((unit + unit.transpose(0, 2, 1)) / 2.0)[:, 0]
+    singular = low <= tol
+    if singular.any():
+        raise SingularObservation(
+            f"observation covariance scaled to unit diagonal has eigenvalue {low[singular][0]:.3g} <= {tol:.3g}"
+        )
+    return np.linalg.solve(unit, (cross / scale)[:, :, None])[:, :, 0] / scale
+
+
 # Basis order used for exact moment propagation: (X, theta, W, T, N).
 _NBASE = 5
+# X + theta and X over that basis: the encoder's and decoder's targets.
+_COST_ROWS = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]])
 
 
-def _moment_matrix(model: Model, scheme: LinearScheme, channel_noise_var: float) -> np.ndarray:
+def _check_encoder(scheme: LinearScheme, channel_noise_var: float) -> None:
     _require_finite(channel_noise_var=channel_noise_var, **vars(scheme))
     if scheme.enc_noise_var < 0.0:
         raise ValueError("enc_noise_var: must be nonnegative")
     if channel_noise_var < 0.0:
         raise ValueError("channel_noise_var: must be nonnegative")
+
+
+def _moment_matrix(model: Model, scheme: LinearScheme, channel_noise_var: float) -> np.ndarray:
+    _check_encoder(scheme, channel_noise_var)
     k = np.zeros((_NBASE, _NBASE))
     cov = model.covariance()
     d = cov.shape[0]
@@ -318,36 +340,80 @@ def best_decoder(
 
     The decoder minimizes d_d over linear maps of its observations (Y for
     pair models, (Y, W) with side information), i.e. it plays the linear
-    conditional mean.  A degenerate Y (zero variance) is dropped from the
-    observation set, leaving the prior decoder (or the W-only decoder when
-    side information is available).
+    conditional mean.  This is the one-scheme case of :func:`best_decoders`,
+    which states when Y is dropped.
+    """
+    weights, costs = best_decoders(model, (scheme,), (channel_noise_var,))
+    (dec_y, dec_w), (d_e, d_d) = weights[0].tolist(), costs[0].tolist()
+    return replace(scheme, dec_y_weight=dec_y, dec_w_weight=dec_w), CostPair(d_e=d_e, d_d=d_d)
+
+
+def best_decoders(
+    model: Model, schemes: Sequence[LinearScheme], channel_noise_vars: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-response decoders and their costs for many encoders of one model.
+
+    Scheme i is heard through channel noise of variance
+    ``channel_noise_vars[i]``; its decoder weights are ignored.  Returns
+    ``(weights, costs)``, arrays of shape (n, 2): ``weights[i]`` is
+    (dec_y_weight, dec_w_weight) and ``costs[i]`` is (d_e, d_d).
+
+    All schemes go through one stack of moment matrices over (X, theta, W,
+    T, N): one singularity test of the unit-diagonal observation blocks,
+    one solve of the normal equations and one propagation of the costs.
+    Y = c*S + T + N is dropped from the observations, in its own units,
+    when its signal power c^2*Var(S) is at most ``PSD_RTOL`` * Var(Y); the
+    decoder then plays the prior (or the W-only estimate with side
+    information).
     """
     require_valid(model)
-    k = _moment_matrix(model, scheme, channel_noise_var)
-    sig = _signal_vectors(scheme)
-    has_w = isinstance(model, SideInfoModel)
+    table = np.array(
+        [
+            (s.enc_gain, s.enc_theta_weight, s.enc_si_weight, s.enc_noise_var, noise, s.dec_y_weight, s.dec_w_weight)
+            for s, noise in zip(schemes, channel_noise_vars, strict=True)
+        ],
+        dtype=float,
+    ).reshape(-1, 7)
+    if not (np.isfinite(table).all() and (table[:, 3:5] >= 0.0).all()):
+        for s, noise in zip(schemes, channel_noise_vars):
+            _check_encoder(s, noise)  # raises, naming the first bad field
+    c, a, b, t, noise = table[:, :5].T
+    n = len(table)
+    cov = model.covariance()
+    d = cov.shape[0]
+    k = np.zeros((n, _NBASE, _NBASE))
+    k[:, :d, :d] = cov
+    k[:, 3, 3], k[:, 4, 4] = t, noise
+    # Rows X, Y, W and the signal c*S = Y - T - N, over the basis (X, theta, W, T, N)
+    rows = np.zeros((n, 4, _NBASE))
+    rows[:, 0, 0] = rows[:, 2, 2] = rows[:, 1, 3] = rows[:, 1, 4] = 1.0
+    rows[:, 1, :3] = rows[:, 3, :3] = np.stack((c, c * a, c * b), axis=1)
+    mom = _moments(rows, k)
+    keep = mom[:, 3, 3] > PSD_RTOL * mom[:, 1, 1]
 
-    def m(u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ k @ v)
+    stop = 3 if isinstance(model, SideInfoModel) else 2  # observations Y, or Y and W
+    block, cross = mom[:, 1:stop, 1:stop].copy(), mom[:, 1:stop, 0].copy()
+    if not keep.all():  # a dropped Y becomes an observation orthogonal to the rest
+        block[~keep, 0, :] = block[~keep, :, 0] = cross[~keep, 0] = 0.0
+        block[~keep, 0, 0] = 1.0
+    solved = _scaled_solve(block, cross)
+    weights = np.zeros((n, 2))
+    weights[:, 0] = np.where(keep, solved[:, 0], 0.0)
+    weights[:, 1 : stop - 1] = solved[:, 1:]
 
-    var_y = m(sig["y"], sig["y"])
-    scale = max(model.sigma_x2, var_y)
-    names = []
-    if var_y > PSD_RTOL * scale:
-        names.append("y")
-    if has_w:
-        names.append("w")
+    xhat = weights[:, :1] * rows[:, 1] + weights[:, 1:] * rows[:, 2]
+    err = _COST_ROWS - xhat[:, None, :]  # X + theta - Xhat and X - Xhat
+    return weights, _moments(err, k)[:, (0, 1), (0, 1)]
 
-    dims = ["x"] + names
-    cov = np.array([[m(sig[a], sig[b]) for b in dims] for a in dims])
-    weights, err = mmse_linear(cov, 0, range(1, len(dims)))
-    dec_y = weights[names.index("y")] if "y" in names else 0.0
-    dec_w = weights[names.index("w")] if "w" in names else 0.0
-    solved = replace(scheme, dec_y_weight=float(dec_y), dec_w_weight=float(dec_w))
-    costs = scheme_costs(model, solved, channel_noise_var)
-    # d_d from the normal equations and from propagation agree to roundoff;
-    # report the propagated pair so both costs come from one path.
-    return solved, costs
+
+def _moments(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """rows[i, a] @ k[i] @ rows[i, b] for every i, a and b.
+
+    Each entry is a vector-matrix product and then a dot product, rounded
+    as for one pair of vectors, so no result depends on the stack around it.
+    """
+    rk = np.matmul(rows[:, :, None, :], k[:, None])[:, :, 0, :]
+    return rk @ rows.transpose(0, 2, 1)
 
 
 def no_information_costs(model: Model) -> CostPair:

@@ -38,7 +38,7 @@ from .gausslin import (
     SideInfoModel,
     SourcePairModel,
     _require_finite,
-    best_decoder,
+    best_decoders,
     require_valid,
     validate_model,
 )
@@ -152,19 +152,15 @@ def transmitter_si_invariance(m: SideInfoModel, b_values) -> InvarianceReport:
     the W component of Y before decoding.
     """
     report = solve_noiseless_si(m)
-    base = LinearScheme(enc_gain=1.0, enc_theta_weight=report.alpha_si)
-    costs = []
-    for b in b_values:
-        _, pair = best_decoder(m, replace(base, enc_si_weight=float(b)), 0.0)
-        costs.append(pair)
+    b_values = tuple(float(b) for b in b_values)
+    schemes = [LinearScheme(enc_theta_weight=report.alpha_si, enc_si_weight=b) for b in b_values]
+    _, costs = best_decoders(m, schemes, [0.0] * len(schemes))
     ref = report.costs
-    max_dev = 0.0
-    for pair in costs:
-        max_dev = max(max_dev, abs(pair.d_e - ref.d_e), abs(pair.d_d - ref.d_d))
+    deviation = np.abs(costs - (ref.d_e, ref.d_d))
     return InvarianceReport(
-        b_values=tuple(float(b) for b in b_values),
-        costs=tuple(costs),
-        max_abs_deviation=float(max_dev),
+        b_values=b_values,
+        costs=tuple(CostPair(d_e=d_e, d_d=d_d) for d_e, d_d in costs.tolist()),
+        max_abs_deviation=float(deviation.max(initial=0.0)),
     )
 
 

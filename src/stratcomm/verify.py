@@ -4,13 +4,16 @@ The battery mirrors the package's acceptance tests in a form that needs no
 test runner: every check reduces to one scalar measurement compared against
 a pinned tolerance in a stated direction, and the whole run summarizes as
 JSON.  The ``quick`` profile covers the closed-form properties and the fast
-sampled ones (well under thirty seconds); ``full`` adds million-sample
+sampled ones (about a tenth of a second); ``full`` adds million-sample
 Monte Carlo agreement, the scalar codec experiment, and a wider
-matched-correlation sweep.
+matched-correlation sweep (a few seconds).
 
 Sampled checks draw from ``default_rng([seed, crc32(name)])``, one stream
 per check keyed by its name, so a run is reproducible from a single seed
 and no check's draws depend on another's or on its place in the battery.
+Checks that read one shared sample, such as the two ACE checks, get it
+drawn once per :func:`run_suite` call from the stream of the first of them;
+nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .gausslin import (
     SideInfoModel,
     SourcePairModel,
     best_decoder,
+    best_decoders,
     cross_moment,
 )
 from .noisy_channel import ChannelSpec, opta_bound, solve_noisy
@@ -80,16 +84,27 @@ class CheckResult:
     detail: str = ""
 
 
-_Check = Callable[[np.random.Generator], tuple[float, float, str, str]]
+_Check = Callable[..., tuple[float, float, str, str]]
 _CHECKS: list[tuple[str, str, _Check]] = []
+# A shared sample: (name of the stream it is drawn from, function that draws it).
+_Shared = tuple[str, Callable[[np.random.Generator], object]]
+_SHARED: dict[str, _Shared] = {}  # by the name of a check that reads it
 
 
-def _check(name: str, profile: str = "quick") -> Callable[[_Check], _Check]:
+def _check(name: str, profile: str = "quick", shared: _Shared | None = None) -> Callable[[_Check], _Check]:
+    """Register a check, called with its own stream or, given ``shared``, with that sample."""
+
     def register(fn: _Check) -> _Check:
         _CHECKS.append((name, profile, fn))
+        if shared is not None:
+            _SHARED[name] = shared
         return fn
 
     return register
+
+
+def _stream(seed: int, name: str) -> np.random.Generator:
+    return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
 def _random_pair_model(rng: np.random.Generator) -> SourcePairModel:
@@ -160,6 +175,11 @@ def _no_profitable_deviation(rng):
     return worst, 1e-9, "<=", "largest improvement over 100 sampled models"
 
 
+def _rate_route(point):
+    # a rate point reports no decoder: its encoder with test-channel noise
+    return LinearScheme(enc_theta_weight=point.beta, enc_noise_var=point.sigma_s2), 0.0, point.costs
+
+
 @_check("kernel_matches_propagation")
 def _kernel_matches_propagation(rng):
     # Each solver route of the closed-form kernel against covariance propagation:
@@ -171,40 +191,42 @@ def _kernel_matches_propagation(rng):
         eq, eq_si = solve_noiseless(pair), solve_noiseless_si(si)
         noisy, noisy_si = solve_noisy(pair, ch), solve_noisy_si_linear(si, ch)
         si_scheme = LinearScheme(enc_theta_weight=eq_si.alpha_si, dec_y_weight=eq_si.dec_y, dec_w_weight=eq_si.dec_w)
-        routes = [  # (model, scheme with the solver's decoder, channel noise, costs)
-            (pair, LinearScheme(enc_theta_weight=eq.alpha, dec_y_weight=eq.kappa), 0.0, eq.costs),
-            (si, si_scheme, 0.0, eq_si.costs),
-            (pair, noisy[0], ch.noise_var, noisy[1]),
-            (si, noisy_si[0], ch.noise_var, noisy_si[1]),
+        pair_routes = [  # (scheme with the solver's decoder, channel noise, costs)
+            (LinearScheme(enc_theta_weight=eq.alpha, dec_y_weight=eq.kappa), 0.0, eq.costs),
+            (noisy[0], ch.noise_var, noisy[1]),
+            *map(_rate_route, rd_sweep(pair, [rate, 1e-300])),
+            *(_rate_route(rd_point(pair, q)) for q in (rate, 1e-300)),
         ]
-        points = [(pair, p) for p in rd_sweep(pair, [rate, 1e-300])]
-        points += [(pair, rd_point(pair, q)) for q in (rate, 1e-300)]
-        points += [(si, si_rd_point(si, q)) for q in (rate, 1e-300)]
-        for m, p in points:  # a rate point reports no decoder
-            routes.append((m, LinearScheme(enc_theta_weight=p.beta, enc_noise_var=p.sigma_s2), 0.0, p.costs))
-        for model, scheme, noise, costs in routes:
-            solved, oracle = best_decoder(model, scheme, channel_noise_var=noise)
-            gap = max(abs(costs.d_e - oracle.d_e), abs(costs.d_d - oracle.d_d))
-            worst = max(worst, gap / model.sigma_x2)
-            if scheme.enc_noise_var == 0.0:
-                weights = np.array([scheme.dec_y_weight, scheme.dec_w_weight])
-                truth = np.array([solved.dec_y_weight, solved.dec_w_weight])
-                worst = max(worst, float(np.linalg.norm(weights - truth) / np.linalg.norm(truth)))
-    # Control: a pure-tracking and a generic game, each noisy and noiseless.
+        si_routes = [
+            (si_scheme, 0.0, eq_si.costs),
+            (noisy_si[0], ch.noise_var, noisy_si[1]),
+            *(_rate_route(si_rd_point(si, q)) for q in (rate, 1e-300)),
+        ]
+        for model, routes in ((pair, pair_routes), (si, si_routes)):  # one oracle call per model
+            schemes, noises, costs = zip(*routes)
+            weights, oracle = best_decoders(model, schemes, noises)
+            gaps = np.abs(np.array([(c.d_e, c.d_d) for c in costs]) - oracle)
+            worst = max(worst, float(gaps.max()) / model.sigma_x2)
+            exact = [i for i, scheme in enumerate(schemes) if scheme.enc_noise_var == 0.0]
+            given = np.array([(schemes[i].dec_y_weight, schemes[i].dec_w_weight) for i in exact])
+            truth = weights[exact]
+            rel = np.linalg.norm(given - truth, axis=1) / np.linalg.norm(truth, axis=1)
+            worst = max(worst, float(rel.max()))
+    # Control: a pure-tracking and a generic game, each noisy and noiseless, in one oracle call.
     model, generic, noise = _CONTROL_GAMES[0]
-    for cf in (_PURE_TRACKING, generic):
-        for n in (0.0, noise):
-            scheme, j_e, j_d = solve_canonical(model, cf, n)
-            solved, _ = best_decoder(model, scheme, channel_noise_var=n)
-            moment = partial(cross_moment, model, solved, n)
-            err_e, err_d = {"x": 1.0, "theta": cf.theta_weight, "xhat": -1.0}, {"x": 1.0, "xhat": -1.0}
-            u = {"u": 1.0}
-            oracle_e = (
-                moment(err_e, err_e) + cf.k1 * moment(u, u)
-                + cf.k2 * moment(u, {"x": 1.0}) + cf.k3 * moment(u, {"theta": 1.0})
-            )
-            gap = max(abs(j_e - oracle_e), abs(j_d - moment(err_d, err_d)))
-            worst = max(worst, gap / model.sigma_x2, abs(scheme.dec_y_weight / solved.dec_y_weight - 1.0))
+    games = [(cf, n, *solve_canonical(model, cf, n)) for cf in (_PURE_TRACKING, generic) for n in (0.0, noise)]
+    weights, _ = best_decoders(model, [game[2] for game in games], [game[1] for game in games])
+    for (cf, n, scheme, j_e, j_d), (dec_y, dec_w) in zip(games, weights.tolist()):
+        solved = replace(scheme, dec_y_weight=dec_y, dec_w_weight=dec_w)
+        moment = partial(cross_moment, model, solved, n)
+        err_e, err_d = {"x": 1.0, "theta": cf.theta_weight, "xhat": -1.0}, {"x": 1.0, "xhat": -1.0}
+        u = {"u": 1.0}
+        oracle_e = (
+            moment(err_e, err_e) + cf.k1 * moment(u, u)
+            + cf.k2 * moment(u, {"x": 1.0}) + cf.k3 * moment(u, {"theta": 1.0})
+        )
+        gap = max(abs(j_e - oracle_e), abs(j_d - moment(err_d, err_d)))
+        worst = max(worst, gap / model.sigma_x2, abs(scheme.dec_y_weight / solved.dec_y_weight - 1.0))
     return worst, 1e-12, "<=", "costs per sigma_x2 and relative decoder weights on 204 routes"
 
 
@@ -386,12 +408,11 @@ def _si_weight_beats_grid(rng):
     # Brute force through the covariance path: no weight on a grid over
     # [-4, 4] may undercut the closed-form weight's encoder cost.
     worst = -math.inf
+    betas = np.linspace(-4.0, 4.0, 101).tolist()
     for model in (_SI_CORRELATED, _SI_SKEWED):
         best = solve_noiseless_si(model).costs.d_e
-        for beta in np.linspace(-4.0, 4.0, 101):
-            scheme = LinearScheme(enc_theta_weight=float(beta))
-            _, costs = best_decoder(model, scheme, channel_noise_var=0.0)
-            worst = max(worst, (best - costs.d_e) / model.sigma_x2)
+        _, costs = best_decoders(model, [LinearScheme(enc_theta_weight=b) for b in betas], [0.0] * len(betas))
+        worst = max(worst, float(np.max((best - costs[:, 0]) / model.sigma_x2)))
     return worst, 1e-12, "<=", "largest gain of a grid weight over the closed form, per sigma_x2"
 
 
@@ -556,15 +577,16 @@ def _ace_report(rng):
     return simkit.ace_max_correlation(x, y, bins=64, iterations=30)
 
 
-@_check("max_correlation_gaussian")
-def _max_correlation_gaussian(rng):
-    report = _ace_report(rng)
+_ACE = ("max_correlation_gaussian", _ace_report)
+
+
+@_check("max_correlation_gaussian", shared=_ACE)
+def _max_correlation_gaussian(report):
     return abs(report.estimate - 0.7), 0.02, "<=", f"estimate={report.estimate!r}"
 
 
-@_check("max_correlation_linearity")
-def _max_correlation_linearity(rng):
-    report = _ace_report(rng)
+@_check("max_correlation_linearity", shared=_ACE)
+def _max_correlation_linearity(report):
     measured = min(report.identity_corr_x, report.identity_corr_y)
     return measured, 0.99, ">=", "fitted transforms track the identity"
 
@@ -713,11 +735,19 @@ def run_suite(profile: str = "quick", seed: int = DEFAULT_SEED) -> dict:
     if profile not in ("quick", "full"):
         raise ValueError("profile: expected 'quick' or 'full'")
     results: list[CheckResult] = []
+    drawn: dict[_Shared, object] = {}  # the shared samples of this call
     for name, check_profile, fn in _CHECKS:
         if check_profile == "full" and profile != "full":
             continue
-        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-        measured, tolerance, comparator, detail = fn(rng)
+        shared = _SHARED.get(name)
+        if shared is None:
+            arg = _stream(seed, name)
+        else:
+            if shared not in drawn:
+                stream, draw = shared
+                drawn[shared] = draw(_stream(seed, stream))
+            arg = drawn[shared]
+        measured, tolerance, comparator, detail = fn(arg)
         passed = measured <= tolerance if comparator == "<=" else measured >= tolerance
         results.append(
             CheckResult(

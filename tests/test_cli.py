@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import stratcomm
-from stratcomm import cli
+from stratcomm import cli, control_games
 from stratcomm.equilibrium import solve_noiseless
 from stratcomm.gausslin import SideInfoModel, SourcePairModel
 from stratcomm.side_info import si_rd_point, solve_noiseless_si
@@ -604,3 +604,19 @@ def test_the_package_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "control-check"])
+def test_a_control_report_canonicalizes_once(monkeypatch, write_scenario, capsys, command):
+    calls = []
+    real = cli.canonicalize
+
+    def counted(phi_e, phi_d):
+        calls.append(1)
+        return real(phi_e, phi_d)
+
+    monkeypatch.setattr(cli, "canonicalize", counted)
+    monkeypatch.setattr(control_games, "canonicalize", counted)
+    assert _run([command, "--scenario", write_scenario(_control_payload())]) == 0
+    assert json.loads(capsys.readouterr().out)["solution"]["gain"] > 0.0
+    assert len(calls) == 1

@@ -9,6 +9,7 @@ import pytest
 from stratcomm.control_games import CanonicalForm, solve_canonical
 from stratcomm.equilibrium import solve_noiseless
 from stratcomm.errors import InvalidModel, SingularObservation
+from stratcomm import gausslin, side_info, verify
 from stratcomm.gausslin import (
     PSD_RTOL,
     LinearScheme,
@@ -18,6 +19,7 @@ from stratcomm.gausslin import (
     _si_det,
     _signal_vectors,
     best_decoder,
+    best_decoders,
     cross_moment,
     mmse_linear,
     no_information_costs,
@@ -284,7 +286,8 @@ def test_entries_reject_non_finite_inputs(field, call, value):
 
 
 # The former best_decoder, one scheme at a time through 4x4 moment algebra,
-# kept as the second route for the decoder oracle.
+# kept as the second route for the stacked oracle; only its Y drop moved to
+# Y's own units.
 def _scalar_mmse(cov, observed):
     block = cov[np.ix_(observed, observed)]
     cross = cov[observed, 0]
@@ -310,8 +313,10 @@ def _per_scheme_best_decoder(model, scheme, channel_noise_var=0.0):
         return float(u @ k @ v)
 
     var_y = m(sig["y"], sig["y"])
+    signal = sig["y"].copy()
+    signal[3:] = 0.0  # c*S: Y without T and N
     names = []
-    if var_y > PSD_RTOL * max(model.sigma_x2, var_y):
+    if m(signal, signal) > PSD_RTOL * var_y:  # Y's own units, as best_decoders drops it
         names.append("y")
     if isinstance(model, SideInfoModel):
         names.append("w")
@@ -366,3 +371,53 @@ def test_best_decoder_matches_the_per_scheme_route():
             ):
                 assert abs(got - want) <= 1e-15 * abs(want)
     assert dropped > 0
+
+
+def test_stacked_oracle_matches_the_per_scheme_route():
+    # one call per model; a 1e-7 gain under unit channel noise is a Y that
+    # carries 1e-14 of its variance, which both routes drop
+    dropped = 0
+    for model, schemes, noises in _oracle_cases(2021):
+        schemes, noises = [*schemes, LinearScheme(enc_gain=1e-7, enc_theta_weight=0.5)], [*noises, 1.0]
+        weights, costs = best_decoders(model, schemes, noises)
+        for scheme, noise, w, c in zip(schemes, noises, weights, costs):
+            solved, pair = _per_scheme_best_decoder(model, scheme, noise)
+            want = np.array([solved.dec_y_weight, solved.dec_w_weight, pair.d_e, pair.d_d])
+            got = np.concatenate((w, c))
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (model, scheme, noise)
+            dropped += solved.dec_y_weight == 0.0
+    assert dropped > 60
+
+
+def test_stacked_oracle_raises_on_a_singular_block_as_the_per_scheme_route_does(si_correlated):
+    singular = LinearScheme(enc_si_weight=1e9)  # Y = X + 1e9*W is W to within 1e-9
+    with pytest.raises(SingularObservation) as want:
+        _per_scheme_best_decoder(si_correlated, singular)
+    with pytest.raises(SingularObservation) as got:
+        best_decoders(si_correlated, [LinearScheme(enc_theta_weight=0.5), singular, LinearScheme()], [0.0, 0.3, 0.0])
+    assert str(got.value) == str(want.value)
+    assert "eigenvalue" in str(got.value)
+
+
+@pytest.mark.parametrize(
+    "shift, caught",
+    [
+        (1e-9, {"kernel_matches_propagation", "si_transmitter_invariance"}),
+        # the grid's best weight sits 3.6e-5 * sigma_x2 above the closed form
+        (1e-4, {"kernel_matches_propagation", "si_transmitter_invariance", "si_weight_beats_grid"}),
+    ],
+)
+def test_battery_catches_a_lowered_oracle(monkeypatch, shift, caught):
+    # lowering the stacked oracle's d_e per sigma_x2 must show against the
+    # solvers' kernel, against the solver's invariance and, once it is past
+    # the grid's resolution, as a grid weight beating the closed form
+    real = gausslin.best_decoders
+
+    def lowered(model, schemes, channel_noise_vars):
+        weights, costs = real(model, schemes, channel_noise_vars)
+        costs[:, 0] -= shift * model.sigma_x2
+        return weights, costs
+
+    for module in (gausslin, side_info, verify):
+        monkeypatch.setattr(module, "best_decoders", lowered)
+    assert set(verify.run_suite("quick", seed=0)["failed"]) == caught

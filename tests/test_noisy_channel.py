@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stratcomm.equilibrium import best_alpha, objective_j
-from stratcomm.gausslin import SourcePairModel, cross_moment
+from stratcomm.gausslin import SideInfoModel, SourcePairModel, cross_moment
 from stratcomm.noisy_channel import (
     ChannelSpec,
     capacity,
@@ -15,6 +15,7 @@ from stratcomm.noisy_channel import (
     solve_noisy,
     validate_channel,
 )
+from stratcomm.side_info import solve_noiseless_si
 from stratcomm.strategic_rd import rd_point
 
 
@@ -114,3 +115,34 @@ def test_infinite_power_limit_recovers_noiseless(golden_model):
     _, costs = solve_noisy(golden_model, ch)
     assert costs.d_e == pytest.approx(free.d_e, abs=1e-6)
     assert costs.d_d == pytest.approx(free.d_d, abs=1e-6)
+
+
+def test_a_weak_channel_is_heard_at_any_source_scale():
+    # the equilibrium depends on P/N only: P + N below 1e-12 * sigma_x2 once
+    # dropped the signal, at d_e = 2.9 * sigma_x2 instead of 1.8518 * sigma_x2
+    ref_scheme, ref = solve_noisy(SourcePairModel(1.0, 0.2, 1.5), ChannelSpec(1.0, 1.0))
+    assert ref.d_e == pytest.approx(1.8518, abs=1e-4)
+    for s2, p in ((1e12, 1.0), (1e13, 1.0), (1e13, 1e13), (1e100, 1e-100)):
+        scheme, costs = solve_noisy(SourcePairModel(s2, 0.2, 1.5), ChannelSpec(p, p))
+        assert costs.d_e / s2 == pytest.approx(ref.d_e, rel=1e-12)
+        assert costs.d_d / s2 == pytest.approx(ref.d_d, rel=1e-12)
+        assert scheme.dec_y_weight * math.sqrt(p / s2) == pytest.approx(ref_scheme.dec_y_weight, rel=1e-12)
+
+
+def _common_scale_results(s):
+    """Scale-free results of noisy, rd and si_noiseless with sigma_x2, P and N all times s."""
+    pair = SourcePairModel(1.3 * s, 0.2, 1.5)
+    out = []
+    for p, n in ((1.0, 1.0), (3.0, 0.5), (1e-13, 1e-13), (1e-100, 3e-100)):
+        scheme, costs = solve_noisy(pair, ChannelSpec(p * s, n * s))
+        out += [costs.d_e / s, costs.d_d / s, scheme.enc_gain, scheme.enc_theta_weight, scheme.dec_y_weight]
+    for rate in (0.01, 1.0, 8.0):
+        point = rd_point(pair, rate)
+        out += [point.costs.d_e / s, point.costs.d_d / s, point.beta, point.sigma_s2 / s]
+    eq = solve_noiseless_si(SideInfoModel(s, 0.2, 1.0, 0.4, -0.3, 1.0))
+    return out + [eq.costs.d_e / s, eq.costs.d_d / s, eq.alpha_si, eq.dec_y, eq.dec_w]
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e-13, 1e13, 1e100])
+def test_results_are_invariant_under_a_common_scale(s):
+    assert _common_scale_results(s) == pytest.approx(_common_scale_results(1.0), rel=1e-12, abs=0.0)

@@ -98,3 +98,24 @@ def test_checks_are_seeded_by_name_not_position(monkeypatch):
     after = {c["name"]: c["measured"] for c in verify.run_suite("quick", seed=0)["checks"]}
     del after["inserted_first"]
     assert after == before
+
+
+@pytest.mark.parametrize("name", ["max_correlation_gaussian", "max_correlation_linearity"])
+def test_a_check_on_a_shared_sample_measures_alone_as_in_the_suite(monkeypatch, name):
+    suite = {c["name"]: c["measured"] for c in verify.run_suite("quick", seed=5)["checks"]}
+    monkeypatch.setattr(verify, "_CHECKS", [entry for entry in verify._CHECKS if entry[0] == name])
+    alone = verify.run_suite("quick", seed=5)["checks"]
+    assert [c["name"] for c in alone] == [name]
+    assert alone[0]["measured"] == suite[name]
+
+
+def test_interleaved_seeds_give_the_bytes_of_each_seed_alone():
+    # the shared sample is drawn per call, so no call sees another call's draws
+    alone = {seed: json.dumps(verify.run_suite("quick", seed=seed)) for seed in (3, 4)}
+    for seed in (4, 3, 4, 3):
+        assert json.dumps(verify.run_suite("quick", seed=seed)) == alone[seed]
+
+
+def test_quick_suite_passes_on_every_seed_from_0_to_199():
+    failed = {seed: out["failed"] for seed in range(200) if (out := verify.run_suite("quick", seed=seed))["failed"]}
+    assert failed == {}
