@@ -67,13 +67,6 @@ def _signal_ratio(rho, r, alpha):
     return 1.0 + alpha * (2.0 * rho + alpha * r)
 
 
-def _select(cond, a, b):
-    """a where cond holds, else b: a plain branch on a bool, np.where on an array."""
-    if isinstance(cond, (bool, np.bool_)):
-        return a if cond else b
-    return np.where(cond, a, b)
-
-
 def _linear_costs(rho, r, alpha, gain2, t, n):
     """(kappa, d_e, d_d) of Y = c*(X + alpha*theta) + T + N under the best decoder.
 
@@ -90,7 +83,10 @@ def _linear_costs(rho, r, alpha, gain2, t, n):
     signal = gain2 * _signal_ratio(rho, r, alpha)
     var_y = signal + t + n
     keep = signal > PSD_RTOL * var_y
-    kappa = _select(keep, gain2 * cov_xs / _select(keep, var_y, 1.0), 0.0)
+    if isinstance(keep, np.ndarray):  # divide only where Y is kept
+        kappa = np.divide(gain2 * cov_xs, var_y, out=np.zeros(keep.shape), where=keep)
+    else:
+        kappa = gain2 * cov_xs / var_y if keep else 0.0
     d_d = 1.0 - kappa * cov_xs
     return kappa, d_d + 2.0 * (rho - kappa * cov_ts) + r, d_d
 

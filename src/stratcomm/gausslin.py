@@ -369,15 +369,15 @@ def best_decoders(
     require_valid(model)
     table = np.array(
         [
-            (s.enc_gain, s.enc_theta_weight, s.enc_si_weight, s.enc_noise_var, noise, s.dec_y_weight, s.dec_w_weight)
+            (1.0, s.enc_theta_weight, s.enc_si_weight, s.enc_gain, s.enc_noise_var, noise, s.dec_y_weight, s.dec_w_weight)
             for s, noise in zip(schemes, channel_noise_vars, strict=True)
         ],
         dtype=float,
-    ).reshape(-1, 7)
-    if not (np.isfinite(table).all() and (table[:, 3:5] >= 0.0).all()):
+    ).reshape(-1, 8)
+    if not (np.isfinite(table).all() and (table[:, 4:6] >= 0.0).all()):
         for s, noise in zip(schemes, channel_noise_vars):
             _check_encoder(s, noise)  # raises, naming the first bad field
-    c, a, b, t, noise = table[:, :5].T
+    c, t, noise = table[:, 3:6].T
     n = len(table)
     cov = model.covariance()
     d = cov.shape[0]
@@ -387,15 +387,16 @@ def best_decoders(
     # Rows X, Y, W and the signal c*S = Y - T - N, over the basis (X, theta, W, T, N)
     rows = np.zeros((n, 4, _NBASE))
     rows[:, 0, 0] = rows[:, 2, 2] = rows[:, 1, 3] = rows[:, 1, 4] = 1.0
-    rows[:, 1, :3] = rows[:, 3, :3] = np.stack((c, c * a, c * b), axis=1)
+    rows[:, 1, :3] = rows[:, 3, :3] = c[:, None] * table[:, :3]  # S = X + a*theta + b*W
     mom = _moments(rows, k)
     keep = mom[:, 3, 3] > PSD_RTOL * mom[:, 1, 1]
 
     stop = 3 if isinstance(model, SideInfoModel) else 2  # observations Y, or Y and W
     block, cross = mom[:, 1:stop, 1:stop].copy(), mom[:, 1:stop, 0].copy()
-    if not keep.all():  # a dropped Y becomes an observation orthogonal to the rest
-        block[~keep, 0, :] = block[~keep, :, 0] = cross[~keep, 0] = 0.0
-        block[~keep, 0, 0] = 1.0
+    drop = ~keep
+    if drop.any():  # a dropped Y becomes an observation orthogonal to the rest
+        block[drop, 0, :] = block[drop, :, 0] = cross[drop, 0] = 0.0
+        block[drop, 0, 0] = 1.0
     solved = _scaled_solve(block, cross)
     weights = np.zeros((n, 2))
     weights[:, 0] = np.where(keep, solved[:, 0], 0.0)

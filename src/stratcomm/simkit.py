@@ -311,10 +311,12 @@ def deviation_search(
     al = np.asarray(grid.alphas, float)[:, None]
     st = np.asarray(grid.sigma_t2s, float)[None, :]
     gain2 = 1.0
-    if grid.power is not None:  # a point whose noise alone exceeds the budget is not in the family
+    if grid.power is not None:
         budget = grid.power - st
         gain2 = np.where(budget >= 0.0, budget / (s2 * _signal_ratio(rho, r, al)), np.nan)
-    d_e = np.where(np.isnan(gain2), np.inf, _linear_costs(rho, r, al, gain2, st / s2, n)[1])
+    d_e = _linear_costs(rho, r, al, gain2, st / s2, n)[1]
+    if grid.power is not None:  # a point whose noise alone exceeds the budget is not in the family
+        d_e = np.where(np.isnan(gain2), np.inf, d_e)
     i, j = np.unravel_index(int(np.argmin(d_e)), d_e.shape)
     best = float(s2 * d_e[i, j])
     return DeviationReport(
