@@ -387,7 +387,7 @@ def best_decoders(
     # Rows X, Y, W and the signal c*S = Y - T - N, over the basis (X, theta, W, T, N)
     rows = np.zeros((n, 4, _NBASE))
     rows[:, 0, 0] = rows[:, 2, 2] = rows[:, 1, 3] = rows[:, 1, 4] = 1.0
-    rows[:, 1, :3] = rows[:, 3, :3] = c[:, None] * table[:, :3]  # S = X + a*theta + b*W
+    rows[:, 1, :3] = rows[:, 3, :3] = c[:, None] * table[:, :3]  # c*(1, a, b), S = X + a*theta + b*W
     mom = _moments(rows, k)
     keep = mom[:, 3, 3] > PSD_RTOL * mom[:, 1, 1]
 
