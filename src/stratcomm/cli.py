@@ -13,6 +13,13 @@ both units.  Exit codes: 0 on success, 1 on validation problems (the
 message names the offending field), 2 on numerical failures such as
 ``NoRoot``.
 
+Two tables hold the rest.  ``_KINDS`` states the schema and the solver of
+each scenario kind; a kind that names the linear scheme its report states
+accepts a ``sim`` block, and the seeded Monte Carlo check samples that
+scheme and compares its costs with the report's own.  ``_SCENARIO_COMMANDS``
+lists the subcommands that solve one scenario file (``solve``, ``rd``,
+``si-match``, ``control-check``); they differ only in the kinds they take.
+
 Reports are JSON with sorted keys and full-precision floats, so a given
 (scenario, seed, version) triple reproduces its report byte for byte.
 Sweep CSVs use ``repr`` floats for the same reason: re-reading a row and
@@ -44,7 +51,6 @@ from .errors import (
     ZeroRate,
 )
 from .gausslin import (
-    CostPair,
     LinearScheme,
     SideInfoModel,
     SourcePairModel,
@@ -100,28 +106,20 @@ def _reject_unknown(mapping: dict, allowed: Container[str], path: str) -> None:
             raise SchemaError(f"{path}: unknown field '{key}'")
 
 
-def _number(mapping: dict, key: str, path: str, default: float | None = None) -> float:
+def _number(mapping: dict, key: str, path: str, default=None, integer: bool = False):
+    """A finite number from ``mapping[key]``, or with ``integer`` a JSON integer."""
     if key not in mapping:
         if default is not None:
             return default
         raise SchemaError(f"{path}.{key}: required field is missing")
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}: expected a number")
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise SchemaError(f"{path}.{key}: expected {'an integer' if integer else 'a number'}")
+    if integer:
+        return value
     value = float(value)
     if not math.isfinite(value):
         raise SchemaError(f"{path}.{key}: must be finite")
-    return value
-
-
-def _integer(mapping: dict, key: str, path: str, default: int | None = None) -> int:
-    if key not in mapping:
-        if default is not None:
-            return default
-        raise SchemaError(f"{path}.{key}: required field is missing")
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}.{key}: expected an integer")
     return value
 
 
@@ -164,13 +162,13 @@ def _parse_rate(mapping: dict, rate_units: str) -> float:
 def _parse_sim(raw: dict) -> simkit.SimConfig:
     mapping = _require_mapping(raw, "sim")
     _reject_unknown(mapping, _SIM_FIELDS, "sim")
-    seed = _integer(mapping, "seed", "sim")
+    seed = _number(mapping, "seed", "sim", integer=True)
     if not 0 <= seed < 2**64:
         raise SchemaError("sim.seed: must fit in an unsigned 64-bit integer")
-    n = _integer(mapping, "n", "sim")
+    n = _number(mapping, "n", "sim", integer=True)
     if n < 1:
         raise SchemaError("sim.n: need at least one sample")
-    chunk = _integer(mapping, "chunk", "sim", default=2**16)
+    chunk = _number(mapping, "chunk", "sim", default=2**16, integer=True)
     if chunk < 1:
         raise SchemaError("sim.chunk: must be positive")
     return simkit.SimConfig(seed=seed, n=n, chunk=chunk)
@@ -192,7 +190,7 @@ def parse_scenario(raw: dict, rate_units: str = "bits") -> Scenario:
         raise SchemaError("model: required field is missing")
     for name in _SECTIONS:
         if name in mapping:
-            if name not in spec.required and name not in spec.allowed:
+            if not spec.allows(name):
                 raise SchemaError(f"{name}: not used for kind '{kind}'")
         elif name in spec.required:
             raise SchemaError(f"{name}: required for kind '{kind}'")
@@ -215,44 +213,29 @@ def load_scenario(path: str, rate_units: str = "bits") -> Scenario:
 # Reports
 
 
-def _sim_block(model, scheme: LinearScheme, channel_noise: float, closed: CostPair, cfg) -> dict:
-    table = simkit.sample(model, cfg)
-    est = simkit.estimate_costs(table, scheme, channel_noise, cfg)
-    return {
-        "seed": cfg.seed,
-        "n": cfg.n,
-        "d_e": simkit.verification_report(est.costs.d_e, est.stderr_e, closed.d_e),
-        "d_d": simkit.verification_report(est.costs.d_d, est.stderr_d, closed.d_d),
-    }
-
-
-def _rd_scheme(model, beta: float, sigma_s2: float) -> LinearScheme:
-    if math.isfinite(sigma_s2):
-        encoder = LinearScheme(enc_gain=1.0, enc_theta_weight=beta, enc_noise_var=sigma_s2)
+def _rd_scheme(model, report: dict) -> LinearScheme:
+    if math.isfinite(report["sigma_s2"]):
+        encoder = LinearScheme(enc_gain=1.0, enc_theta_weight=report["beta"], enc_noise_var=report["sigma_s2"])
     else:
         encoder = LinearScheme(enc_gain=0.0)
     solved, _ = best_decoder(model, encoder)
     return solved
 
 
-def _payload_noiseless(scn: Scenario, sim, classify_only: bool) -> dict:
+def _payload_noiseless(scn: Scenario, classify_only: bool) -> dict:
     rep = solve_noiseless(scn.model)
-    payload = {
+    return {
         "alpha": rep.alpha,
         "kappa": rep.kappa,
         "a_aux": rep.a_aux,
         "d_e": rep.costs.d_e,
         "d_d": rep.costs.d_d,
     }
-    if sim:
-        scheme = LinearScheme(enc_theta_weight=rep.alpha, dec_y_weight=rep.kappa)
-        payload["sim"] = _sim_block(scn.model, scheme, 0.0, rep.costs, sim)
-    return payload
 
 
-def _payload_rd(scn: Scenario, sim, classify_only: bool) -> dict:
+def _payload_rd(scn: Scenario, classify_only: bool) -> dict:
     point = (rd_point if scn.kind == "rd" else si_rd_point)(scn.model, scn.rate_bits)
-    payload = {
+    return {
         "rate_bits": point.rate,
         "rate_nats": point.rate * math.log(2.0),
         "beta": point.beta,
@@ -260,16 +243,12 @@ def _payload_rd(scn: Scenario, sim, classify_only: bool) -> dict:
         "d_e": point.costs.d_e,
         "d_d": point.costs.d_d,
     }
-    if sim:
-        scheme = _rd_scheme(scn.model, point.beta, point.sigma_s2)
-        payload["sim"] = _sim_block(scn.model, scheme, 0.0, point.costs, sim)
-    return payload
 
 
-def _payload_noisy(scn: Scenario, sim, classify_only: bool) -> dict:
+def _payload_noisy(scn: Scenario, classify_only: bool) -> dict:
     scheme, costs = solve_noisy(scn.model, scn.channel)
     bound = opta_bound(scn.model, scn.channel)
-    payload = {
+    return {
         "capacity_bits": capacity(scn.channel),
         "gain": scheme.enc_gain,
         "theta_weight": scheme.enc_theta_weight,
@@ -279,29 +258,20 @@ def _payload_noisy(scn: Scenario, sim, classify_only: bool) -> dict:
         "opta_d_e": bound,
         "gap": costs.d_e - bound,
     }
-    if sim:
-        payload["sim"] = _sim_block(scn.model, scheme, scn.channel.noise_var, costs, sim)
-    return payload
 
 
-def _payload_si_noiseless(scn: Scenario, sim, classify_only: bool) -> dict:
+def _payload_si_noiseless(scn: Scenario, classify_only: bool) -> dict:
     rep = solve_noiseless_si(scn.model)
-    payload = {
+    return {
         "alpha_si": rep.alpha_si,
         "dec_y_weight": rep.dec_y,
         "dec_w_weight": rep.dec_w,
         "d_e": rep.costs.d_e,
         "d_d": rep.costs.d_d,
     }
-    if sim:
-        scheme = LinearScheme(
-            enc_theta_weight=rep.alpha_si, dec_y_weight=rep.dec_y, dec_w_weight=rep.dec_w
-        )
-        payload["sim"] = _sim_block(scn.model, scheme, 0.0, rep.costs, sim)
-    return payload
 
 
-def _payload_si_match(scn: Scenario, sim, classify_only: bool) -> dict:
+def _payload_si_match(scn: Scenario, classify_only: bool) -> dict:
     root = find_matched_rho_xw(scn.model, scn.channel)
     matched_model = replace(scn.model, rho_x_w=root)
     report = match_condition(matched_model, scn.channel)
@@ -318,7 +288,7 @@ def _payload_si_match(scn: Scenario, sim, classify_only: bool) -> dict:
     }
 
 
-def _payload_control(scn: Scenario, sim, classify_only: bool) -> dict:
+def _payload_control(scn: Scenario, classify_only: bool) -> dict:
     phi_e, phi_d = scn.objectives
     noise_var = scn.channel.noise_var if scn.channel else 0.0
     try:
@@ -345,23 +315,46 @@ class _Kind:
 
     Each of the optional top-level fields in ``_SECTIONS`` is required if
     listed in ``required``, allowed if listed in ``allowed`` and rejected
-    otherwise.  ``defaults`` holds the model fields a scenario may omit.
+    otherwise; ``sim`` is allowed exactly when the kind has ``simulated``,
+    the linear scheme its report states, which the Monte Carlo check
+    samples.  ``defaults`` holds the model fields a scenario may omit.
     """
 
     model: type
-    payload: Callable[[Scenario, simkit.SimConfig | None, bool], dict]
+    payload: Callable[[Scenario, bool], dict]
     required: tuple[str, ...] = ()
     allowed: tuple[str, ...] = ()
+    simulated: Callable[[SourcePairModel | SideInfoModel, dict], LinearScheme] | None = None
     defaults: Mapping[str, float] = field(default_factory=lambda: {"sigma_x2": 1.0})
+
+    def allows(self, name: str) -> bool:
+        return name in self.required or name in self.allowed or (name == "sim" and self.simulated is not None)
 
 
 # The schema, one entry per kind; the README's "Scenario files" list states it in prose.
 _KINDS = {
-    "noiseless": _Kind(SourcePairModel, _payload_noiseless, allowed=("sim",)),
-    "rd": _Kind(SourcePairModel, _payload_rd, required=("rate",), allowed=("sim",)),
-    "noisy": _Kind(SourcePairModel, _payload_noisy, required=("channel",), allowed=("sim",)),
-    "si_noiseless": _Kind(SideInfoModel, _payload_si_noiseless, allowed=("sim",)),
-    "si_rd": _Kind(SideInfoModel, _payload_rd, required=("rate",), allowed=("sim",)),
+    "noiseless": _Kind(
+        SourcePairModel,
+        _payload_noiseless,
+        simulated=lambda model, rep: LinearScheme(enc_theta_weight=rep["alpha"], dec_y_weight=rep["kappa"]),
+    ),
+    "rd": _Kind(SourcePairModel, _payload_rd, required=("rate",), simulated=_rd_scheme),
+    "noisy": _Kind(
+        SourcePairModel,
+        _payload_noisy,
+        required=("channel",),
+        simulated=lambda model, rep: LinearScheme(
+            enc_gain=rep["gain"], enc_theta_weight=rep["theta_weight"], dec_y_weight=rep["dec_y_weight"]
+        ),
+    ),
+    "si_noiseless": _Kind(
+        SideInfoModel,
+        _payload_si_noiseless,
+        simulated=lambda model, rep: LinearScheme(
+            enc_theta_weight=rep["alpha_si"], dec_y_weight=rep["dec_y_weight"], dec_w_weight=rep["dec_w_weight"]
+        ),
+    ),
+    "si_rd": _Kind(SideInfoModel, _payload_rd, required=("rate",), simulated=_rd_scheme),
     # si_match solves for rho_x_w, so the model may leave it out
     "si_match": _Kind(
         SideInfoModel, _payload_si_match, required=("channel",), defaults={"sigma_x2": 1.0, "rho_x_w": 0.0}
@@ -371,11 +364,26 @@ _KINDS = {
 
 
 def solve_scenario(scn: Scenario, sim=None, classify_only: bool = False) -> dict:
-    """Produce the kind-appropriate JSON-ready report for one scenario."""
+    """Produce the kind-appropriate JSON-ready report for one scenario.
+
+    Given ``sim``, a kind with a ``simulated`` scheme also reports a Monte
+    Carlo estimate of that scheme's costs against the report's own.
+    """
+    spec = _KINDS[scn.kind]
     payload = {"schema": 1, "kind": scn.kind, "model": vars(scn.model).copy()}
     if scn.channel is not None:
         payload["channel"] = vars(scn.channel).copy()
-    payload.update(_KINDS[scn.kind].payload(scn, sim, classify_only))
+    payload.update(spec.payload(scn, classify_only))
+    if sim is not None:
+        scheme = spec.simulated(scn.model, payload)
+        noise_var = scn.channel.noise_var if scn.channel else 0.0
+        est = simkit.estimate_costs(simkit.sample(scn.model, sim), scheme, noise_var, sim)
+        payload["sim"] = {
+            "seed": sim.seed,
+            "n": sim.n,
+            "d_e": simkit.verification_report(est.costs.d_e, est.stderr_e, payload["d_e"]),
+            "d_d": simkit.verification_report(est.costs.d_d, est.stderr_d, payload["d_d"]),
+        }
     return payload
 
 
@@ -476,7 +484,7 @@ def _effective_sim(scn: Scenario, seed: int | None, samples: int | None):
     """The scenario's sim block with the --seed and --samples overrides applied."""
     if seed is None and samples is None:
         return scn.sim
-    if "sim" not in _KINDS[scn.kind].allowed:
+    if not _KINDS[scn.kind].allows("sim"):
         raise SchemaError(f"sim: not used for kind '{scn.kind}'")
     if scn.sim is None and samples is None:
         raise SchemaError("sim: --seed needs a sim block in the scenario or --samples")
@@ -488,36 +496,15 @@ def _effective_sim(scn: Scenario, seed: int | None, samples: int | None):
     })
 
 
-def run(
-    scenario_path: str,
-    out_path: str | None = None,
-    *,
-    rate_units: str = "bits",
-    seed: int | None = None,
-    samples: int | None = None,
-    kinds: tuple[str, ...] | None = None,
-    classify_only: bool = False,
-) -> int:
-    """Solve one scenario file and emit its JSON report; returns exit code 0."""
-    scn = load_scenario(scenario_path, rate_units=rate_units)
-    if kinds and scn.kind not in kinds:
-        raise SchemaError(f"kind: this command handles {', '.join(kinds)}, got '{scn.kind}'")
-    sim = _effective_sim(scn, seed, samples)
-    payload = solve_scenario(scn, sim=sim, classify_only=classify_only)
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
-    return 0
-
-
 def _cmd_solve(args) -> int:
-    return run(
-        args.scenario,
-        args.out,
-        rate_units=args.rate_units,
-        seed=args.seed,
-        samples=args.samples,
-        kinds=args.kinds,
-        classify_only=args.classify_only,
-    )
+    """Solve one scenario file and emit its JSON report."""
+    scn = load_scenario(args.scenario, rate_units=args.rate_units)
+    if args.kinds and scn.kind not in args.kinds:
+        raise SchemaError(f"kind: this command handles {', '.join(args.kinds)}, got '{scn.kind}'")
+    sim = _effective_sim(scn, args.seed, args.samples)
+    payload = solve_scenario(scn, sim=sim, classify_only=args.classify_only)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -566,17 +553,13 @@ def _cmd_verify(args) -> int:
     return 0 if summary["passed"] else 2
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", required=True, help="path to a schema-1 scenario JSON file")
-    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario's sim seed")
-    parser.add_argument(
-        "--samples", type=int, default=None, help="sample count for Monte Carlo cross-checks"
-    )
-    parser.add_argument(
-        "--rate-units", choices=("bits", "nats"), default="bits", dest="rate_units",
-        help="units of the scenario's rate field (default bits)",
-    )
+# The scenario subcommands: (name, help, kinds it accepts or None for any, classify_only).
+_SCENARIO_COMMANDS = (
+    ("solve", "solve any scenario kind", None, False),
+    ("rd", "evaluate one rate-limited disclosure point", ("rd", "si_rd"), False),
+    ("si-match", "solve the matched-correlation condition", ("si_match",), False),
+    ("control-check", "classify (and solve) a control game", ("control",), True),
+)
 
 
 @cache  # built once per process; parse_args keeps no state between calls
@@ -587,21 +570,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve any scenario kind")
-    _add_scenario_flags(solve)
-    solve.set_defaults(func=_cmd_solve, kinds=None, classify_only=False)
-
-    rd = sub.add_parser("rd", help="evaluate one rate-limited disclosure point")
-    _add_scenario_flags(rd)
-    rd.set_defaults(func=_cmd_solve, kinds=("rd", "si_rd"), classify_only=False)
-
-    si_match = sub.add_parser("si-match", help="solve the matched-correlation condition")
-    _add_scenario_flags(si_match)
-    si_match.set_defaults(func=_cmd_solve, kinds=("si_match",), classify_only=False)
-
-    control = sub.add_parser("control-check", help="classify (and solve) a control game")
-    _add_scenario_flags(control)
-    control.set_defaults(func=_cmd_solve, kinds=("control",), classify_only=True)
+    for name, help_text, kinds, classify_only in _SCENARIO_COMMANDS:
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--scenario", required=True, help="path to a schema-1 scenario JSON file")
+        cmd.add_argument("--out", default=None, help="write the report here instead of stdout")
+        cmd.add_argument("--seed", type=int, default=None, help="override the scenario's sim seed")
+        cmd.add_argument("--samples", type=int, default=None, help="sample count for Monte Carlo cross-checks")
+        cmd.add_argument(
+            "--rate-units", choices=("bits", "nats"), default="bits", dest="rate_units",
+            help="units of the scenario's rate field (default bits)",
+        )
+        cmd.set_defaults(func=_cmd_solve, kinds=kinds, classify_only=classify_only)
 
     sweep = sub.add_parser("sweep", help="write one panel of sweep data as CSV")
     sweep.add_argument("--panel", required=True, choices=("fig3a", "fig3b", "fig3c", "custom"))

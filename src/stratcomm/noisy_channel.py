@@ -50,18 +50,25 @@ def solve_noisy(model: SourcePairModel, ch: ChannelSpec) -> tuple[LinearScheme, 
     """
     alpha = best_alpha(model)
     validate_channel(ch)
-    gain2, kappa, d_e, d_d = _budget_costs(model, alpha, ch.power, ch.noise_var)
-    gain = math.sqrt(gain2)
+    gain, kappa, d_e, d_d = _budget_costs(model, alpha, ch.power, ch.noise_var)
     s2 = model.sigma_x2
     scheme = LinearScheme(enc_gain=gain, enc_theta_weight=alpha, dec_y_weight=float(kappa) / gain)
     return scheme, CostPair(d_e=float(s2 * d_e), d_d=float(s2 * d_d))
 
 
 def _budget_costs(model: SourcePairModel, alpha: float, power, noise_var: float):
-    """(c^2, kappa, d_e, d_d) per unit sigma_x2 of c*(X + alpha*theta) at E{U^2} = power."""
-    rho, r, s2 = model.rho, model.r, model.sigma_x2
-    gain2 = power / (s2 * _signal_ratio(rho, r, alpha))
-    return (gain2, *_linear_costs(rho, r, alpha, gain2, 0.0, noise_var / s2))
+    """(c, kappa, d_e, d_d), costs per unit sigma_x2, of c*(X + alpha*theta) at E{U^2} = power.
+
+    The kernel runs on Y/c: unit gain and channel noise Var(S)*N/P, with S =
+    X + alpha*theta, so a gain whose square underflows still gives the costs.
+    c = sqrt(P)/sqrt(Var(S)) is formed for the report only; floats in give
+    floats out, arrays of powers give arrays.
+    """
+    rho, r = model.rho, model.r
+    ratio = _signal_ratio(rho, r, alpha)  # Var(S) / sigma_x2
+    sqrt = np.sqrt if isinstance(power, np.ndarray) else math.sqrt
+    gain = sqrt(power) / sqrt(model.sigma_x2 * ratio)
+    return (gain, *_linear_costs(rho, r, alpha, 1.0, 0.0, ratio * noise_var / power))
 
 
 def opta_bound(model: SourcePairModel, ch: ChannelSpec) -> float:
@@ -90,9 +97,9 @@ def power_sweep(
     alpha = best_alpha(model)
     ratios = np.asarray(p_over_n_values, float)
     bits = [capacity(ChannelSpec(power=float(ratio) * noise_var, noise_var=noise_var)) for ratio in ratios]
-    gain2, _, d_e, d_d = _budget_costs(model, alpha, ratios * noise_var, noise_var)
+    gain, _, d_e, d_d = _budget_costs(model, alpha, ratios * noise_var, noise_var)
     s2 = model.sigma_x2
     return [
-        PowerSweepRow(float(ratio), c, float(e), float(d), math.sqrt(g2))
-        for ratio, c, e, d, g2 in zip(ratios, bits, s2 * d_e, s2 * d_d, gain2)
+        PowerSweepRow(float(ratio), c, float(e), float(d), float(g))
+        for ratio, c, e, d, g in zip(ratios, bits, s2 * d_e, s2 * d_d, gain)
     ]

@@ -229,9 +229,10 @@ def solve_noisy_si_linear(m: SideInfoModel, ch: ChannelSpec) -> tuple[LinearSche
     require_valid(m)
     validate_channel(ch)
     alpha = _si_weight(m)
-    gain2 = ch.power / (m.sigma_x2 * _signal_ratio(m.rho_x_theta, m.r_theta, alpha))
-    kappa, dec_w, costs = _si_costs(m, alpha, gain2, 0.0, ch.noise_var)
-    gain = math.sqrt(gain2)
+    # the kernel runs on Y/c, at unit gain with channel noise Var(S)*N/P, as in solve_noisy
+    var_s = m.sigma_x2 * _signal_ratio(m.rho_x_theta, m.r_theta, alpha)
+    kappa, dec_w, costs = _si_costs(m, alpha, 1.0, 0.0, var_s * ch.noise_var / ch.power)
+    gain = math.sqrt(ch.power) / math.sqrt(var_s)
     scheme = LinearScheme(enc_gain=gain, enc_theta_weight=alpha, dec_y_weight=kappa / gain, dec_w_weight=dec_w)
     return scheme, costs
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .equilibrium import _linear_costs, _signal_ratio
-from .gausslin import CostPair, LinearScheme, Model, SourcePairModel, _require_finite, require_valid
+from .gausslin import CostPair, LinearScheme, Model, SourcePairModel, _check_encoder, require_valid
 
 # Substream layout: stream s, chunk i lives at jump s * _STREAM_STRIDE + i.
 # Each jump advances 2**128 Philox states, so streams can never overlap.
@@ -203,9 +203,7 @@ def estimate_costs(
     small matrix product; their squares are merged across chunks by
     ``_ErrorMoments``.
     """
-    _require_finite(channel_noise_var=channel_noise_var, **vars(scheme))
-    if channel_noise_var < 0.0 or scheme.enc_noise_var < 0.0:
-        raise ValueError("noise variances must be nonnegative")
+    _check_encoder(scheme, channel_noise_var)
     data = samples.data
     n, k = data.shape
     # Xhat = ky*g*(X + a*theta + s*W) + kw*W + ky*sqrt(t)*T + ky*sqrt(nv)*N
@@ -304,7 +302,7 @@ def deviation_search(
     means the baseline was beaten, i.e. it was not an equilibrium.
     """
     require_valid(model)
-    _require_finite(channel_noise_var=channel_noise_var, **vars(baseline))
+    _check_encoder(baseline, channel_noise_var)
     s2, rho, r, n = model.sigma_x2, model.rho, model.r, channel_noise_var / model.sigma_x2
     t = baseline.enc_noise_var / s2
     base = float(s2 * _linear_costs(rho, r, baseline.enc_theta_weight, baseline.enc_gain**2, t, n)[1])

@@ -13,8 +13,9 @@ import pytest
 import stratcomm
 from stratcomm import cli, control_games
 from stratcomm.equilibrium import solve_noiseless
-from stratcomm.gausslin import SideInfoModel, SourcePairModel
+from stratcomm.gausslin import LinearScheme, SideInfoModel, SourcePairModel, best_decoder
 from stratcomm.side_info import si_rd_point, solve_noiseless_si
+from stratcomm.simkit import SimConfig, estimate_costs, sample
 from stratcomm.strategic_rd import rd_point
 
 GOLDEN = {"schema": 1, "kind": "noiseless", "model": {"rho": 0.0, "r": 1.0}}
@@ -258,6 +259,15 @@ def test_readme_lists_the_kinds_in_table_order():
     assert re.findall(r"`(\w+)`", line)[1:] == list(cli._KINDS)
 
 
+def test_readme_lists_the_scenario_commands_in_table_order():
+    # the quick start's command list opens with the scenario subcommands, as --help lists them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme[readme.index("The same things from the command line:") :].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1] for line in block.splitlines()]
+    names = [name for name, _, _, _ in cli._SCENARIO_COMMANDS]
+    assert commands[: len(names)] == names
+
+
 def test_invalid_model_exit_one(write_scenario, capsys):
     # r = rho^2 sits exactly on the singular boundary
     payload = {"schema": 1, "kind": "noiseless", "model": {"rho": 0.5, "r": 0.25}}
@@ -287,6 +297,65 @@ def test_no_root_exit_two(write_scenario, capsys):
 
 
 _SI_MODEL = {"rho_x_theta": 0.2, "r_theta": 1.0, "rho_x_w": 0.4, "rho_theta_w": -0.3, "r_w": 1.0}
+
+
+def _rate_scheme(model, rep):
+    if math.isinf(rep["sigma_s2"]):  # rate 0: nothing is sent
+        return LinearScheme(enc_gain=0.0)
+    return best_decoder(model, LinearScheme(enc_theta_weight=rep["beta"], enc_noise_var=rep["sigma_s2"]))[0]
+
+
+# (kind, scenario fields, scheme and channel noise from the report's own fields)
+_SIM_CASES = [
+    (
+        "noiseless",
+        {"model": {"sigma_x2": 2.5, "rho": 0.3, "r": 1.2}},
+        lambda m, rep: (LinearScheme(enc_theta_weight=rep["alpha"], dec_y_weight=rep["kappa"]), 0.0),
+    ),
+    ("rd", {"model": {"rho": 0.3, "r": 1.5}, "rate": 2.0}, lambda m, rep: (_rate_scheme(m, rep), 0.0)),
+    ("rd", {"model": {"rho": 0.3, "r": 1.5}, "rate": 0.0}, lambda m, rep: (_rate_scheme(m, rep), 0.0)),
+    (
+        "noisy",
+        {"model": {"rho": 0.2, "r": 1.1}, "channel": {"power": 2.0, "noise_var": 0.6}},
+        lambda m, rep: (
+            LinearScheme(
+                enc_gain=rep["gain"], enc_theta_weight=rep["theta_weight"], dec_y_weight=rep["dec_y_weight"]
+            ),
+            rep["channel"]["noise_var"],
+        ),
+    ),
+    (
+        "si_noiseless",
+        {"model": _SI_MODEL},
+        lambda m, rep: (
+            LinearScheme(
+                enc_theta_weight=rep["alpha_si"], dec_y_weight=rep["dec_y_weight"], dec_w_weight=rep["dec_w_weight"]
+            ),
+            0.0,
+        ),
+    ),
+    ("si_rd", {"model": _SI_MODEL, "rate": 1.25}, lambda m, rep: (_rate_scheme(m, rep), 0.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, fields, scheme_of", _SIM_CASES, ids=["noiseless", "rd", "rd_rate_0", "noisy", "si_noiseless", "si_rd"]
+)
+def test_sim_samples_the_scheme_the_report_states(write_scenario, capsys, kind, fields, scheme_of):
+    cfg = SimConfig(seed=13, n=5000, chunk=1024)
+    sim = {"seed": cfg.seed, "n": cfg.n, "chunk": cfg.chunk}
+    assert _run(["solve", "--scenario", write_scenario({"schema": 1, "kind": kind, **fields, "sim": sim})]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    model = (SourcePairModel if "rho" in rep["model"] else SideInfoModel)(**rep["model"])
+    scheme, noise_var = scheme_of(model, rep)
+    est = estimate_costs(sample(model, cfg), scheme, noise_var, cfg)
+    assert rep["sim"]["d_e"]["estimate"] == est.costs.d_e
+    assert rep["sim"]["d_d"]["estimate"] == est.costs.d_d
+    assert (rep["sim"]["d_e"]["closed_form"], rep["sim"]["d_d"]["closed_form"]) == (rep["d_e"], rep["d_d"])
+
+
+def test_the_sim_cases_cover_every_kind_that_takes_sim():
+    assert {kind for kind, _, _ in _SIM_CASES} == {kind for kind, spec in cli._KINDS.items() if spec.allows("sim")}
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,24 @@ def test_a_weak_channel_is_heard_at_any_source_scale():
         assert scheme.dec_y_weight * math.sqrt(p / s2) == pytest.approx(ref_scheme.dec_y_weight, rel=1e-12)
 
 
+def test_a_gain_whose_square_underflows_still_gives_the_costs():
+    # at sigma_x2 = 1e300 and P = N = 1e-300 the squared gain is 0 in floats,
+    # but the equilibrium depends on P/N only: no division by it, and not the
+    # no-information point d_e = 2.9 * sigma_x2
+    s2, p = 1e300, 1e-300
+    ref_scheme, ref = solve_noisy(SourcePairModel(1.0, 0.2, 1.5), ChannelSpec(1.0, 1.0))
+    model = SourcePairModel(s2, 0.2, 1.5)
+    scheme, costs = solve_noisy(model, ChannelSpec(p, p))
+    [row] = power_sweep(model, [1.0], noise_var=p)
+    for d_e, d_d in ((costs.d_e, costs.d_d), (row.d_e, row.d_d)):
+        assert d_e / s2 == pytest.approx(ref.d_e, rel=1e-12)
+        assert d_d / s2 == pytest.approx(ref.d_d, rel=1e-12)
+    for gain in (scheme.enc_gain, row.gain):
+        assert type(gain) is float
+        assert gain / math.sqrt(p) * math.sqrt(s2) == pytest.approx(ref_scheme.enc_gain, rel=1e-12)
+    assert scheme.dec_y_weight * math.sqrt(p) / math.sqrt(s2) == pytest.approx(ref_scheme.dec_y_weight, rel=1e-12)
+
+
 def _common_scale_results(s):
     """Scale-free results of noisy, rd and si_noiseless with sigma_x2, P and N all times s."""
     pair = SourcePairModel(1.3 * s, 0.2, 1.5)

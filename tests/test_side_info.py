@@ -210,6 +210,19 @@ def test_linear_play_meets_power_budget(si_correlated):
     assert sent == pytest.approx(ch.power, abs=1e-12)
 
 
+def test_linear_play_survives_a_gain_whose_square_underflows(si_correlated):
+    # at sigma_x2 = 1e300 and P = N = 1e-300 the squared gain is 0 in floats
+    s2, p = 1e300, 1e-300
+    ref_scheme, ref = solve_noisy_si_linear(si_correlated, ChannelSpec(1.0, 1.0))
+    scheme, costs = solve_noisy_si_linear(replace(si_correlated, sigma_x2=s2), ChannelSpec(p, p))
+    assert costs.d_e / s2 == pytest.approx(ref.d_e, rel=1e-12)
+    assert costs.d_d / s2 == pytest.approx(ref.d_d, rel=1e-12)
+    assert type(scheme.enc_gain) is float
+    assert scheme.enc_gain / math.sqrt(p) * math.sqrt(s2) == pytest.approx(ref_scheme.enc_gain, rel=1e-12)
+    assert scheme.dec_y_weight * math.sqrt(p) / math.sqrt(s2) == pytest.approx(ref_scheme.dec_y_weight, rel=1e-12)
+    assert scheme.dec_w_weight == pytest.approx(ref_scheme.dec_w_weight, rel=1e-12)
+
+
 def test_matched_geometry_closes_the_gap():
     base = SideInfoModel(1.0, 0.0, 1.0, 0.0, -0.30, 1.0)
     ch = ChannelSpec(power=3.0, noise_var=1.0)

@@ -4,7 +4,6 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import stratcomm.side_info as side_info
@@ -43,7 +42,8 @@ def test_unknown_profile_rejected():
 def test_codec_detail_prints_plain_floats():
     # the --full report's bytes must not depend on how numpy reprs its scalars
     check = next(fn for name, _, fn in verify._CHECKS if name == "codec_matches_analysis")
-    detail = check(np.random.default_rng(0))[3]
+    stream, draw = verify._SHARED["codec_matches_analysis"]
+    detail = check(draw(verify._stream(0, stream)))[3]
     assert detail.startswith("predicted d_e=0.")
     assert "np." not in detail
 
