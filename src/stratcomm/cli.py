@@ -367,14 +367,15 @@ def solve_scenario(scn: Scenario, sim=None, classify_only: bool = False) -> dict
     """Produce the kind-appropriate JSON-ready report for one scenario.
 
     Given ``sim``, a kind with a ``simulated`` scheme also reports a Monte
-    Carlo estimate of that scheme's costs against the report's own.
+    Carlo estimate of that scheme's costs against the report's own; other
+    kinds ignore it, as their scenarios cannot carry one.
     """
     spec = _KINDS[scn.kind]
     payload = {"schema": 1, "kind": scn.kind, "model": vars(scn.model).copy()}
     if scn.channel is not None:
         payload["channel"] = vars(scn.channel).copy()
     payload.update(spec.payload(scn, classify_only))
-    if sim is not None:
+    if sim is not None and spec.simulated is not None:
         scheme = spec.simulated(scn.model, payload)
         noise_var = scn.channel.noise_var if scn.channel else 0.0
         est = simkit.estimate_costs(simkit.sample(scn.model, sim), scheme, noise_var, sim)
