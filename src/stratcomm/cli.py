@@ -59,7 +59,7 @@ from .gausslin import (
     validate_model,
 )
 from .noisy_channel import ChannelSpec, capacity, opta_bound, power_sweep, solve_noisy
-from .side_info import find_matched_rho_xw, match_condition, si_rd_point, solve_noiseless_si, solve_noisy_si_linear
+from .side_info import find_matched_rho_xw, match_condition, si_rd_point, solve_noiseless_si
 from .strategic_rd import nats_to_bits, rd_point, rd_sweep
 
 # ArithmeticError covers NoRoot, Unbounded and any unguarded overflow alike.
@@ -117,7 +117,10 @@ def _number(mapping: dict, key: str, path: str, default=None, integer: bool = Fa
         raise SchemaError(f"{path}.{key}: expected {'an integer' if integer else 'a number'}")
     if integer:
         return value
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer past the float range
+        value = math.inf
     if not math.isfinite(value):
         raise SchemaError(f"{path}.{key}: must be finite")
     return value
@@ -273,9 +276,7 @@ def _payload_si_noiseless(scn: Scenario, classify_only: bool) -> dict:
 
 def _payload_si_match(scn: Scenario, classify_only: bool) -> dict:
     root = find_matched_rho_xw(scn.model, scn.channel)
-    matched_model = replace(scn.model, rho_x_w=root)
-    report = match_condition(matched_model, scn.channel)
-    _, costs = solve_noisy_si_linear(matched_model, scn.channel)
+    report = match_condition(replace(scn.model, rho_x_w=root), scn.channel)
     return {
         "rho_x_w_root": root,
         "capacity_bits": report.rate,
@@ -283,8 +284,8 @@ def _payload_si_match(scn: Scenario, classify_only: bool) -> dict:
         "residual": report.residual,
         "matched": report.matched,
         "gap": report.gap,
-        "d_e": costs.d_e,
-        "d_d": costs.d_d,
+        "d_e": report.costs.d_e,
+        "d_d": report.costs.d_d,
     }
 
 

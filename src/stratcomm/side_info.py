@@ -82,6 +82,7 @@ class MatchReport:
     residual: float
     matched: bool
     gap: float
+    costs: CostPair  # of the uncoded linear scheme, as solve_noisy_si_linear gives them
 
 
 def _params(m: SideInfoModel) -> tuple[float, float, float, float, float, float]:
@@ -260,6 +261,7 @@ def match_condition(m: SideInfoModel, ch: ChannelSpec, tol: float = 1e-6) -> Mat
         residual=float(residual),
         matched=bool(residual <= tol),
         gap=float(lin_costs.d_e - bound.d_e),
+        costs=lin_costs,
     )
 
 

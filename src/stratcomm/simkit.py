@@ -2,26 +2,36 @@
 
 Sampling is counter-based: the master seed keys a Philox stream and every
 chunk of every logical noise source jumps to its own disjoint substream, so
-results are bit-identical no matter how chunks would be scheduled.  Nothing
+a chunk's draws do not depend on which thread draws it or when.  Chunks run
+on a thread pool sized from the CPUs available to the process, each worker
+on a contiguous run of chunks, and per-chunk statistics are merged in chunk
+order, so results are bit-identical whatever the pool's size; a one-chunk
+run, or a process with one CPU, stays inline and starts no thread.  Nothing
 here feeds back into the solvers; this module exists to check them.
 
-The hot loops build no n-row temporary.  ``sample`` fills one preallocated
-table chunk by chunk; ``estimate_costs`` walks the table in the same chunks,
-drawing each chunk's noises into one reused buffer and merging per-chunk
-moments of the squared errors; ``ace_max_correlation`` bins the samples
-once and iterates on the bins x bins table of joint counts.
+The hot loops build no n-row temporary.  ``sample`` draws each chunk into
+its worker's buffer and maps it into one preallocated table;
+``estimate_costs`` walks the table in the same chunks, drawing each chunk's
+noises into the worker's buffer and merging per-chunk moments of the squared
+errors; ``ace_max_correlation`` bins the samples once and iterates on the
+bins x bins table of joint counts.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
 from .equilibrium import _linear_costs, _signal_ratio
 from .gausslin import CostPair, LinearScheme, Model, SourcePairModel, _check_encoder, require_valid
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 # Substream layout: stream s, chunk i lives at jump s * _STREAM_STRIDE + i.
 # Each jump advances 2**128 Philox states, so streams can never overlap.
@@ -129,36 +139,103 @@ def _substream(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-class _ErrorMoments:
-    """Running mean and centered second moment of two squared-error streams.
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or os.cpu_count() or 1
+    return os.cpu_count() or 1
 
-    Each ``add`` takes one (2, m) block of errors (encoder's, decoder's),
-    squares it in place, reduces it, and merges it into the totals by the
-    pairwise rule of Chan, Golub & LeVeque, so no n-row array is needed.
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _reset_pool() -> None:
+    """Forget the parent's pool in a forked child, whose copy has no threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The process's chunk pool, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(_cpus() - 1, 1), thread_name_prefix="simkit")
+        return _pool
+
+
+def _map_chunks(fn: Callable[[int, Any], Any], count: int, scratch: Callable[[], Any]) -> list:
+    """``[fn(i, buffer) for i in range(count)]``, with the chunks spread over the CPUs.
+
+    The chunks are split into contiguous runs, one per worker, and each
+    worker passes every chunk of its run the same buffer from ``scratch()``,
+    built here in the calling thread.  The calling thread runs the first run
+    itself; with one chunk or one CPU it runs them all and starts no pool.
+    ``fn`` must touch only its own chunk and buffer, so the results, returned
+    in chunk order, do not depend on the number of workers.
     """
+    workers = min(_cpus(), count)
+    if workers <= 1:
+        buffer = scratch()
+        return [fn(i, buffer) for i in range(count)]
+    buffers = [scratch() for _ in range(workers)]
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = np.zeros(2)
-        self.m2 = np.zeros(2)
+    def run(w: int) -> list:
+        return [fn(i, buffers[w]) for i in range(count * w // workers, count * (w + 1) // workers)]
 
-    def add(self, errors: np.ndarray) -> None:
-        m = errors.shape[1]
-        np.square(errors, out=errors)
-        mean = errors.sum(axis=1) / m
-        errors -= mean[:, None]
-        np.square(errors, out=errors)
-        total = self.count + m
-        delta = mean - self.mean
-        self.mean += delta * (m / total)
-        self.m2 += errors.sum(axis=1) + delta * delta * (self.count * m / total)
-        self.count = total
+    pool = _executor()
+    futures = [pool.submit(run, w) for w in range(1, workers)]
+    try:
+        results = run(0)
+    finally:
+        for future in futures:  # every worker is done with its buffer before the caller goes on
+            future.exception()
+    for future in futures:
+        results += future.result()
+    return results
 
-    def result(self) -> tuple[CostPair, float, float]:
-        """Mean costs and their standard errors (ddof 1, or 0 for one row)."""
-        n = self.count
-        stderr_e, stderr_d = np.sqrt(self.m2 / max(n - 1, 1)) / np.sqrt(n)
-        return CostPair(d_e=float(self.mean[0]), d_d=float(self.mean[1])), float(stderr_e), float(stderr_d)
+
+def _chunk_count(n: int, chunk: int) -> int:
+    return -(-n // chunk)
+
+
+def _error_moments(errors: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Row count, mean and centered sum of squares of one (2, m) block's squared errors.
+
+    The block is squared and centered in place, so no chunk-sized array is
+    allocated.
+    """
+    m = errors.shape[1]
+    np.square(errors, out=errors)
+    mean = errors.sum(axis=1) / m
+    errors -= mean[:, None]
+    np.square(errors, out=errors)
+    return m, mean, errors.sum(axis=1)
+
+
+def _merged_costs(blocks: list[tuple[int, np.ndarray, np.ndarray]]) -> tuple[CostPair, float, float]:
+    """Mean costs and their standard errors (ddof 1, or 0 for one row) from per-block moments.
+
+    The blocks' statistics from ``_error_moments`` are merged in order by the
+    pairwise rule of Chan, Golub & LeVeque, so no n-row array is needed and
+    the totals do not depend on which thread reduced which block.
+    """
+    count, mean, m2 = 0, np.zeros(2), np.zeros(2)
+    for m, block_mean, block_m2 in blocks:
+        total = count + m
+        delta = block_mean - mean
+        mean += delta * (m / total)
+        m2 += block_m2 + delta * delta * (count * m / total)
+        count = total
+    stderr_e, stderr_d = np.sqrt(m2 / max(count - 1, 1)) / np.sqrt(count)
+    return CostPair(d_e=float(mean[0]), d_d=float(mean[1])), float(stderr_e), float(stderr_d)
 
 
 def sample(model: Model, cfg: SimConfig) -> SampleTable:
@@ -168,6 +245,8 @@ def sample(model: Model, cfg: SimConfig) -> SampleTable:
     the source stream, mapped through the Cholesky factor of the model's
     covariance.  The same (model, cfg) always yields the same table, and
     the content of chunk i does not depend on how many chunks follow it.
+    The chunks are drawn on the module's thread pool (a one-chunk table is
+    drawn inline); the table does not depend on the pool's size.
     """
     require_valid(model)
     if cfg.n < 1:
@@ -175,12 +254,18 @@ def sample(model: Model, cfg: SimConfig) -> SampleTable:
     if cfg.chunk < 1:
         raise ValueError("chunk: must be positive")
     cov = model.covariance()
-    chol = np.linalg.cholesky(cov)
-    z = np.empty((cfg.n, cov.shape[0]))
-    for i, start in enumerate(range(0, cfg.n, cfg.chunk)):
-        _substream(cfg.seed, _STREAM_SOURCE, i).standard_normal(out=z[start : start + cfg.chunk])
+    chol_t = np.linalg.cholesky(cov).T
+    table = np.empty((cfg.n, cov.shape[0]))
+
+    def draw(i: int, z: np.ndarray) -> None:
+        rows = table[i * cfg.chunk : (i + 1) * cfg.chunk]
+        z = z[: rows.shape[0]]
+        _substream(cfg.seed, _STREAM_SOURCE, i).standard_normal(out=z)
+        np.matmul(z, chol_t, out=rows)
+
+    _map_chunks(draw, _chunk_count(cfg.n, cfg.chunk), lambda: np.empty((min(cfg.chunk, cfg.n), cov.shape[0])))
     columns = ("X", "theta") if isinstance(model, SourcePairModel) else ("X", "theta", "W")
-    return SampleTable(columns=columns, data=z @ chol.T)
+    return SampleTable(columns=columns, data=table)
 
 
 def estimate_costs(
@@ -197,11 +282,12 @@ def estimate_costs(
     the source stream, so repeated calls are reproducible and independent
     of the source draw.  A noise with zero variance is not drawn.
 
-    The table is walked one chunk at a time.  Each error is linear in the
-    row and the noises, so the encoder and decoder weights are folded into
-    one coefficient vector per cost and a chunk's two errors come from one
-    small matrix product; their squares are merged across chunks by
-    ``_ErrorMoments``.
+    The table is walked in chunks, on the module's thread pool (a one-chunk
+    table inline).  Each error is linear in the row and the noises, so the
+    encoder and decoder weights are folded into one coefficient vector per
+    cost and a chunk's two errors come from one small matrix product; the
+    moments of their squares are merged in chunk order by ``_merged_costs``,
+    so the estimate does not depend on the pool's size.
     """
     _check_encoder(scheme, channel_noise_var)
     data = samples.data
@@ -217,17 +303,21 @@ def estimate_costs(
     coef = -np.array([xhat[:k] + [w for _, w in noises]] * 2)
     coef[:, 0] += 1.0  # both errors are measured from X ...
     coef[0, 1] += 1.0  # ... and the encoder's from X + theta
-    block = np.empty((coef.shape[1], min(cfg.chunk, n)))
-    errors = np.empty((2, block.shape[1]))
-    moments = _ErrorMoments()
-    for i, start in enumerate(range(0, n, cfg.chunk)):
-        rows = data[start : start + cfg.chunk]
+    width = min(cfg.chunk, n)
+
+    def chunk_moments(i: int, buffers: tuple[np.ndarray, np.ndarray]) -> tuple[int, np.ndarray, np.ndarray]:
+        block, errors = buffers
+        rows = data[i * cfg.chunk : (i + 1) * cfg.chunk]
         m = rows.shape[0]
         block[:k, :m] = rows.T
         for j, (stream, _) in enumerate(noises):
             _substream(cfg.seed, stream, i).standard_normal(out=block[k + j, :m])
-        moments.add(np.matmul(coef, block[:, :m], out=errors[:, :m]))
-    return CostEstimate(*moments.result())
+        return _error_moments(np.matmul(coef, block[:, :m], out=errors[:, :m]))
+
+    blocks = _map_chunks(
+        chunk_moments, _chunk_count(n, cfg.chunk), lambda: (np.empty((coef.shape[1], width)), np.empty((2, width)))
+    )
+    return CostEstimate(*_merged_costs(blocks))
 
 
 def _sample_vectors(**named: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -241,6 +331,24 @@ def _sample_vectors(**named: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _quantile_edges(ranked: np.ndarray, bins: int) -> np.ndarray:
+    """The interior quantile edges of sorted values, equal to ``np.quantile``'s.
+
+    They are read off the sorted values as the default linear method reads
+    them: the same virtual index, floor and two-sided interpolation, so the
+    values need no second sort.
+    """
+    virtual = (ranked.size - 1) * np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    below = np.floor(virtual)
+    gamma = virtual - below
+    index = below.astype(np.intp)
+    lo, hi = ranked[index], ranked[np.minimum(index + 1, ranked.size - 1)]
+    diff = hi - lo
+    edges = lo + diff * gamma
+    np.subtract(hi, diff * (1.0 - gamma), out=edges, where=gamma >= 0.5)
+    return edges
+
+
 def _quantile_bins(values: np.ndarray, bins: int) -> np.ndarray:
     """Bin of each value: the number of interior quantile edges at or below it.
 
@@ -250,8 +358,7 @@ def _quantile_bins(values: np.ndarray, bins: int) -> np.ndarray:
     """
     order = np.argsort(values)
     ranked = values[order]
-    edges = np.quantile(ranked, np.linspace(0.0, 1.0, bins + 1)[1:-1])
-    sizes = np.diff(np.searchsorted(ranked, edges), prepend=0, append=values.size)
+    sizes = np.diff(np.searchsorted(ranked, _quantile_edges(ranked, bins)), prepend=0, append=values.size)
     idx = np.empty(values.size, dtype=np.intp)
     idx[order] = np.repeat(np.arange(bins), sizes)
     return idx

@@ -462,6 +462,11 @@ def empirical_triple(
     Cov(X,V)/Var(V) times the cell centroid (truncated-moment identity).
     The resulting point is achievable at rate log2(levels), so it must lie
     on or above the strategic rate-distortion curve.
+
+    The table is sampled by :func:`simkit.sample` and coded chunk by chunk on
+    its thread pool, into buffers built once per worker; per-chunk moments
+    of the squared errors are merged in chunk order, so the triple does not
+    depend on the pool's size.
     """
     require_valid(model)
     if n < 10_000:
@@ -471,10 +476,24 @@ def empirical_triple(
     quant = lloyd_max(levels, var_v)
     kappa = float(_linear_costs(model.rho, model.r, beta, 1.0, 0.0, 0.0)[0])  # Cov(X, V) / Var(V)
 
-    table = simkit.sample(model, simkit.SimConfig(seed=seed, n=n, chunk=chunk))
-    moments = simkit._ErrorMoments()
-    for start in range(0, n, chunk):
-        x, theta = table.data[start : start + chunk].T
-        xhat = kappa * quant.quantize(x + beta * theta)
-        moments.add(np.stack([x + theta - xhat, x - xhat]))
-    return EmpiricalTriple(math.log2(levels), *moments.result())
+    table = simkit.sample(model, simkit.SimConfig(seed=seed, n=n, chunk=chunk)).data
+    width = min(chunk, n)
+
+    def chunk_moments(i: int, buffers: tuple[np.ndarray, ...]) -> tuple[int, np.ndarray, np.ndarray]:
+        x, theta = table[i * chunk : (i + 1) * chunk].T
+        m = x.size
+        v, xhat, errors = buffers[0][:m], buffers[1][:m], buffers[2][:, :m]
+        np.add(x, np.multiply(theta, beta, out=v), out=v)
+        # searchsorted's indices are all valid, so "clip" changes none; it lets take write to xhat unbuffered
+        np.take(quant.centroids, np.searchsorted(quant.thresholds, v), out=xhat, mode="clip")
+        xhat *= kappa
+        np.subtract(np.add(x, theta, out=errors[0]), xhat, out=errors[0])
+        np.subtract(x, xhat, out=errors[1])
+        return simkit._error_moments(errors)
+
+    blocks = simkit._map_chunks(
+        chunk_moments,
+        simkit._chunk_count(n, chunk),
+        lambda: (np.empty(width), np.empty(width), np.empty((2, width))),  # V, Xhat and the two errors
+    )
+    return EmpiricalTriple(math.log2(levels), *simkit._merged_costs(blocks))

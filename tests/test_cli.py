@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import stratcomm
-from stratcomm import cli, control_games
+from stratcomm import cli, control_games, side_info
 from stratcomm.equilibrium import solve_noiseless
 from stratcomm.gausslin import LinearScheme, SideInfoModel, SourcePairModel, best_decoder
-from stratcomm.side_info import si_rd_point, solve_noiseless_si
+from stratcomm.side_info import si_rd_point, solve_noiseless_si, solve_noisy_si_linear
 from stratcomm.simkit import SimConfig, estimate_costs, sample
 from stratcomm.strategic_rd import rd_point
 
@@ -252,6 +252,14 @@ def test_overflowing_minors_exit_one(write_scenario, capsys, kind, model, field)
     assert capsys.readouterr().err.startswith(f"error: InvalidModel: {field}:")
 
 
+@pytest.mark.parametrize("value", [10**400, -(10**400), 1e400], ids=["integer", "negative-integer", "float"])
+def test_a_number_past_the_float_range_is_not_finite(write_scenario, capsys, value):
+    # a 401-digit JSON integer used to escape as OverflowError with exit 2; 1e400 parses as inf
+    scenario = write_scenario({"schema": 1, "kind": "noiseless", "model": {"rho": 0.0, "r": value}})
+    assert _run(["solve", "--scenario", scenario]) == 1
+    assert capsys.readouterr().err.startswith("error: model.r: must be finite")
+
+
 def test_readme_lists_the_kinds_in_table_order():
     # the "kind: expected one of ..." message prints the table's order
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -410,7 +418,15 @@ def test_missing_file_exit_one(tmp_path, capsys):
 # si-match success path
 
 
-def test_si_match_report(write_scenario, capsys):
+def test_si_match_report(monkeypatch, write_scenario, capsys):
+    calls = []
+
+    def counted(model, channel):
+        calls.append(1)
+        return solve_noisy_si_linear(model, channel)
+
+    monkeypatch.setattr(side_info, "solve_noisy_si_linear", counted)
+    monkeypatch.setattr(cli, "solve_noisy_si_linear", counted, raising=False)  # in case the CLI solves it too
     payload = {
         "schema": 1,
         "kind": "si_match",
@@ -427,6 +443,7 @@ def test_si_match_report(write_scenario, capsys):
     assert report["matched"] is True
     assert abs(report["residual"]) <= 1e-6
     assert abs(report["gap"]) <= 1e-6
+    assert len(calls) == 1  # the costs come with the match report, not from a second solve
 
 
 # ---------------------------------------------------------------------------

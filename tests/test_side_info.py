@@ -233,6 +233,7 @@ def test_matched_geometry_closes_the_gap():
     assert report.residual <= 1e-6
     assert abs(report.gap) <= 1e-6
     assert report.rate == pytest.approx(capacity(ch), abs=1e-15)
+    assert report.costs == solve_noisy_si_linear(matched_model, ch)[1]
     # at the matched root the rate-limited weight is the noiseless one
     assert report.beta == pytest.approx(
         solve_noiseless_si(matched_model).alpha_si, abs=1e-8

@@ -1,10 +1,17 @@
 """Seeded Monte Carlo kit: sampling contracts, estimators, searches."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stratcomm import simkit
 from stratcomm.equilibrium import solve_noiseless
 from stratcomm.gausslin import LinearScheme, SideInfoModel, SourcePairModel, scheme_costs
 from stratcomm.simkit import (
@@ -18,6 +25,7 @@ from stratcomm.simkit import (
     sample,
     verification_report,
 )
+from stratcomm.strategic_rd import empirical_triple
 
 PAIR = SourcePairModel(1.3, 0.2, 0.8)
 SI = SideInfoModel(1.0, 0.2, 1.0, 0.4, -0.3, 1.0)
@@ -324,3 +332,160 @@ def test_sim_config_chunk_is_part_of_the_contract(golden_model):
     a = sample(golden_model, SimConfig(seed=5, n=2000, chunk=500))
     b = sample(golden_model, SimConfig(seed=5, n=2000, chunk=1000))
     assert not np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10_000, 100_000, 2**17])
+def test_quantile_edges_equal_numpy_quantile(n):
+    rng = np.random.default_rng(n)
+    one_off = np.full(n, 0.25)
+    one_off[rng.integers(n)] = -3.0
+    for values in (
+        rng.standard_normal(n),
+        rng.integers(0, 5, n).astype(float),  # ties
+        np.round(rng.standard_normal(n), 1),
+        one_off,  # all values equal except one
+    ):
+        ranked = np.sort(values)
+        for bins in (2, 8, 64, 100, 1024):
+            want = np.quantile(ranked, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+            assert np.array_equal(simkit._quantile_edges(ranked, bins), want)
+
+
+# ---------------------------------------------------------------------------
+# the chunk map: every worker count gives the one-worker run's bits
+
+
+def _with_cpus(monkeypatch, cpus, call):
+    with monkeypatch.context() as patch:
+        patch.setattr(simkit, "_cpus", lambda: cpus)
+        return call()
+
+
+_NOISES = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.7), (0.3, 0.7)]
+
+
+@pytest.mark.parametrize("chunk", [1000, 2**16, 2**17])
+@pytest.mark.parametrize("n", [10_000, 65_536, 65_537, 10**6])
+@pytest.mark.parametrize("model", [PAIR, SI], ids=["pair", "side-info"])
+def test_sample_and_estimate_match_a_one_worker_run(monkeypatch, model, n, chunk):
+    cfg = SimConfig(seed=n + chunk, n=n, chunk=chunk)
+    si = isinstance(model, SideInfoModel)
+    schemes = [
+        LinearScheme(
+            enc_gain=1.1,
+            enc_theta_weight=0.4,
+            enc_si_weight=0.2 if si else 0.0,
+            enc_noise_var=t,
+            dec_y_weight=0.6,
+            dec_w_weight=0.1 if si else 0.0,
+        )
+        for t, _ in _NOISES
+    ]
+
+    def run():
+        table = sample(model, cfg)
+        return table.data, [estimate_costs(table, s, nv, cfg) for s, (_, nv) in zip(schemes, _NOISES)]
+
+    want_table, want = _with_cpus(monkeypatch, 1, run)
+    for cpus in (2, 3):
+        table, got = _with_cpus(monkeypatch, cpus, run)
+        assert np.array_equal(table, want_table)
+        assert got == want
+
+
+@pytest.mark.parametrize("chunk", [1000, 2**16, 2**17])
+@pytest.mark.parametrize("n", [10_000, 65_536, 65_537, 10**6])
+def test_empirical_triple_matches_a_one_worker_run(monkeypatch, n, chunk):
+    def run():
+        return empirical_triple(PAIR, 16, n, seed=n + chunk, chunk=chunk)
+
+    want = _with_cpus(monkeypatch, 1, run)
+    for cpus in (2, 3):
+        assert _with_cpus(monkeypatch, cpus, run) == want
+
+
+@pytest.mark.parametrize("cpus, n", [(2, 2**16), (1, 3 * 2**16)], ids=["one-chunk", "one-cpu"])
+def test_an_inline_run_creates_no_pool(monkeypatch, cpus, n):
+    def no_pool():
+        raise AssertionError("a pool was asked for")
+
+    monkeypatch.setattr(simkit, "_cpus", lambda: cpus)
+    monkeypatch.setattr(simkit, "_executor", no_pool)
+    cfg = SimConfig(seed=3, n=n)
+    estimate_costs(sample(PAIR, cfg), LinearScheme(enc_noise_var=0.2, dec_y_weight=0.5), 0.4, cfg)
+    empirical_triple(PAIR, 8, n, seed=3)
+
+
+@pytest.mark.parametrize("bad", [0, 5], ids=["caller's run", "worker's run"])
+def test_an_exception_in_a_chunk_reaches_the_caller(monkeypatch, bad):
+    monkeypatch.setattr(simkit, "_cpus", lambda: 2)
+    done = []
+
+    def fn(i, buffer):
+        if i == bad:
+            raise ZeroDivisionError(f"chunk {i}")
+        time.sleep(0.02)
+        done.append(i)
+        return i
+
+    with pytest.raises(ZeroDivisionError, match=f"chunk {bad}"):
+        simkit._map_chunks(fn, 8, lambda: None)
+    # the other run finished before the exception reached the caller
+    other = range(4, 8) if bad == 0 else range(0, 4)
+    assert set(other) <= set(done)
+
+
+def test_workers_never_share_a_buffer(monkeypatch):
+    # more workers than cores, with frequent thread switches: a buffer handed
+    # to two threads at once would see another chunk's mark
+    monkeypatch.setattr(simkit, "_cpus", lambda: 8)
+    monkeypatch.setattr(simkit, "_pool", None)  # a pool of 7 threads, for this test alone
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+
+        def fn(i, buffer):
+            buffer.fill(i)
+            np.add(buffer, 0.0, out=buffer)  # releases the interpreter lock
+            return bool((buffer == i).all())
+
+        for _ in range(10):
+            assert simkit._map_chunks(fn, 64, lambda: np.empty(100_000)) == [True] * 64
+    finally:
+        sys.setswitchinterval(interval)
+        if simkit._pool is not None:
+            simkit._pool.shutdown()
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # a fresh interpreter: the CLI and one-chunk runs leave concurrent.futures unloaded
+    code = (
+        "import sys, stratcomm.cli\n"
+        "from stratcomm import SourcePairModel, SimConfig, LinearScheme, empirical_triple, estimate_costs, sample\n"
+        "cfg = SimConfig(seed=1, n=2**14)\n"
+        "estimate_costs(sample(SourcePairModel(1.0, 0.0, 1.0), cfg), LinearScheme(dec_y_weight=0.5), 0.0, cfg)\n"
+        "empirical_triple(SourcePairModel(1.0, 0.0, 1.0), 16, 10_000, seed=3)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(simkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "False\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_builds_its_own_pool(monkeypatch):
+    # the parent's pool threads do not exist in the child; were the pool
+    # kept, the child's first threaded map would wait forever
+    monkeypatch.setattr(simkit, "_cpus", lambda: 2)
+    assert simkit._map_chunks(lambda i, _: i, 4, lambda: None) == [0, 1, 2, 3]
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only if a threaded map completes
+        signal.alarm(30)
+        ok = False
+        try:
+            ok = simkit._map_chunks(lambda i, _: i, 4, lambda: None) == [0, 1, 2, 3]
+        finally:
+            os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
